@@ -35,11 +35,11 @@ clamped delta:
 Determinism contract
 --------------------
 Controllers read virtual time from events only — no wall clock, no RNG.
-Event hooks fire after every handled event at identical points in both loop
-modes, and ``event_sink`` is the shared event queue in both, so actuations
-receive identical ``(time_ms, sort_priority, counter)`` keys everywhere:
-adaptive runs are byte-identical across loop/index/metrics/workload modes
-and worker processes, like every other run (pinned by
+Event hooks fire after every handled event, and ``event_sink`` is the
+simulation's event queue, so actuations receive deterministic
+``(time_ms, sort_priority, counter)`` keys: adaptive runs are
+byte-identical across index/metrics/workload modes and worker processes,
+like every other run (pinned by the recorded goldens and
 ``tests/integration/test_autoscale_parity.py``).
 
 >>> spec = get_autoscale_spec("threshold-default")
@@ -68,7 +68,6 @@ __all__ = [
     "Autoscaler",
     "AUTOSCALE_KINDS",
     "AUTOSCALE_SPECS",
-    "LearnedAgent",
     "PIDController",
     "ThresholdController",
     "autoscale_spec_names",
@@ -78,11 +77,7 @@ __all__ = [
 ]
 
 #: Controller families a spec can name.
-AUTOSCALE_KINDS = ("threshold", "pid", "learned")
-
-#: Cap on the replay buffer of :class:`LearnedAgent` (transitions kept for
-#: a future offline-RL fit; old entries are dropped FIFO).
-LEARNED_BUFFER_CAP = 4096
+AUTOSCALE_KINDS = ("threshold", "pid")
 
 
 # ----------------------------------------------------------------------
@@ -134,19 +129,13 @@ class AutoscaleActuation:
 
 
 class AutoscalePolicy:
-    """Base controller: ``decide(state) -> action`` plus a learning hook.
+    """Base controller: ``decide(state) -> action``.
 
     Subclasses must be deterministic: same state sequence, same actions.
-    ``record_transition`` is called after every decision (applied or not) so
-    a learned implementation can fill a replay buffer without changing the
-    control flow.
     """
 
     def decide(self, state: AutoscaleState) -> AutoscaleAction:
         raise NotImplementedError
-
-    def record_transition(self, state: AutoscaleState, action: AutoscaleAction) -> None:
-        """Optional learning hook; the default is a no-op."""
 
 
 class ThresholdController(AutoscalePolicy):
@@ -257,38 +246,6 @@ class PIDController(AutoscalePolicy):
         return AutoscaleAction(delta=delta, reason="pid control value %.3f" % control)
 
 
-class LearnedAgent(AutoscalePolicy):
-    """Pluggable learned-policy stub behind the same (state, action) interface.
-
-    Today it is a deterministic backlog-greedy heuristic (one container per
-    queued job above the current residents, shrink when idle) — a stand-in
-    with the exact surface a trained agent needs: ``decide`` consumes an
-    :class:`AutoscaleState`, and ``record_transition`` fills a bounded
-    replay buffer a future offline-RL fit can train from.  No RNG: a
-    learned drop-in must either be greedy at inference time or derive any
-    exploration stream from the run seed.
-    """
-
-    def __init__(self, *, max_step: int) -> None:
-        self.max_step = max_step
-        #: FIFO replay buffer of (state, action) pairs, capped at
-        #: :data:`LEARNED_BUFFER_CAP`.
-        self.transitions: list[tuple[AutoscaleState, AutoscaleAction]] = []
-
-    def decide(self, state: AutoscaleState) -> AutoscaleAction:
-        gap = state.queue_depth - state.residents
-        if gap > 0:
-            return AutoscaleAction(delta=min(gap, self.max_step), reason="greedy backlog")
-        if state.queue_depth == 0 and state.arrival_rate_per_s == 0.0 and state.residents > 0:
-            return AutoscaleAction(delta=-1, reason="greedy idle")
-        return AutoscaleAction(delta=0, reason="greedy hold")
-
-    def record_transition(self, state: AutoscaleState, action: AutoscaleAction) -> None:
-        if len(self.transitions) >= LEARNED_BUFFER_CAP:
-            del self.transitions[0]
-        self.transitions.append((state, action))
-
-
 # ----------------------------------------------------------------------
 # Specs and registry
 # ----------------------------------------------------------------------
@@ -300,9 +257,9 @@ class AutoscaleSpec:
     :class:`~repro.experiments.runner.ExperimentConfig` carry (and what the
     result store hashes): the live controller state is rebuilt per run, per
     function, from these parameters alone — no RNG, no seed input — so one
-    spec reproduces the same decisions in every loop mode, index mode and
-    worker process.  Threshold parameters are ignored by ``kind="pid"`` and
-    vice versa; ``max_step`` doubles as the learned agent's step bound.
+    spec reproduces the same decisions in every index mode and worker
+    process.  Threshold parameters are ignored by ``kind="pid"`` and vice
+    versa.
     """
 
     name: str
@@ -373,17 +330,15 @@ class AutoscaleSpec:
                 low_rate_per_s=self.low_rate_per_s,
                 down_patience=self.down_patience,
             )
-        if self.kind == "pid":
-            return PIDController(
-                kp=self.kp,
-                ki=self.ki,
-                kd=self.kd,
-                setpoint=self.setpoint,
-                ewma_alpha=self.ewma_alpha,
-                integral_clamp=self.integral_clamp,
-                max_step=self.max_step,
-            )
-        return LearnedAgent(max_step=self.max_step)
+        return PIDController(
+            kp=self.kp,
+            ki=self.ki,
+            kd=self.kd,
+            setpoint=self.setpoint,
+            ewma_alpha=self.ewma_alpha,
+            integral_clamp=self.integral_clamp,
+            max_step=self.max_step,
+        )
 
 
 AUTOSCALE_SPECS: dict[str, AutoscaleSpec] = {}
@@ -499,9 +454,9 @@ class Autoscaler:
     def _on_event(self, simulation: "Simulation", event: object) -> None:
         """Per-event hook: count arrivals, run due decision passes.
 
-        Fires after every handled event at identical points in both loop
-        modes, so the decision cadence — and therefore every actuation's
-        event-queue position — is mode-independent.
+        Fires after every handled event, so the decision cadence — and
+        therefore every actuation's event-queue position — depends only on
+        the event sequence.
         """
         if isinstance(event, self._arrival_event_type):
             arrivals = self._arrivals
@@ -545,7 +500,6 @@ class Autoscaler:
                 policy = self.spec.build_controller()
                 self._controllers[fn] = policy
             action = policy.decide(state)
-            policy.record_transition(state, action)
             if action.delta != 0:
                 applied, targets = self._actuate(simulation, state, action.delta)
                 self.actuations.append(
@@ -659,7 +613,6 @@ def _register_builtin_specs() -> None:
         )
     )
     register_autoscale_spec(AutoscaleSpec(name="pid-default", kind="pid"))
-    register_autoscale_spec(AutoscaleSpec(name="learned-stub", kind="learned"))
 
 
 _register_builtin_specs()

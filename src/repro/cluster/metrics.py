@@ -187,8 +187,8 @@ class _AppAccumulator:
     """Streaming-mode accumulator for one application (or the whole run).
 
     Holds exactly what the summary needs: integer counters, the running cost
-    sum, a Welford :class:`RunningStats` over latencies (cheap mean/std
-    introspection without a sort), and three parallel compact buffers —
+    sum, a Welford :class:`RunningStats` over latencies (replayed from the
+    latency buffer on first read), and three parallel compact buffers —
     ``completed_ms`` / ``request_ids`` / ``latency_ms`` — from which the
     exact latency quantiles are computed in canonical completion order.
     """
@@ -217,16 +217,6 @@ class _AppAccumulator:
         #: SLO budget of the first registered request (all requests of one
         #: application share one SLO within a run); None until one arrives.
         self.slo_ms: float | None = None
-
-    def fold_completion(self, request: Request) -> None:
-        latency = request.latency_ms
-        self.completed += 1
-        if request.slo_hit:
-            self.slo_hits += 1
-        self.completed_ms.append(request.completed_ms)
-        self.request_ids.append(request.request_id)
-        self.latency_ms.append(latency)
-        self.latency_stats.update(latency)
 
     def ordered_latencies(self) -> list[float]:
         """Latencies in canonical ``(completed_ms, request_id)`` order.
@@ -422,36 +412,24 @@ class MetricsCollector:
         self._fold_completion(request)
 
     def _fold_completion(self, request: Request) -> None:
-        acc = self._app(request.app_name)
-        if acc.completed >= acc.registered:
-            # Cheap misuse guard: catches a request folded twice (registered
-            # pre-completed *and* notified via record_completion) and
-            # completions of never-registered requests, both of which would
-            # otherwise silently corrupt rates (e.g. slo_hit_rate > 1).
-            raise ValueError(
-                f"completion of request {request.request_id} would exceed the "
-                f"registered request count of app {request.app_name!r}; was the "
-                "request registered, and its completion recorded only once?"
-            )
-        self._total.fold_completion(request)
-        acc.fold_completion(request)
+        """Fold one completed request into the streaming accumulators.
 
-    def _fold_completion_fast(self, request: Request) -> None:
-        """``loop_mode="fast"`` streaming fold (same observable state).
-
-        Folds the identical sample into the identical buffers with the
-        per-call constants stripped: the latency/SLO properties are inlined
-        (``latency = completed - arrival``, ``hit = latency <= slo``) and
-        the Welford :class:`RunningStats` update is deferred —
-        :meth:`latency_running_stats` replays the buffered samples in fold
-        order on first read, which reproduces the eager update sequence
-        exactly.  The misuse guard is kept.
+        The latency/SLO properties are inlined (``latency = completed -
+        arrival``, ``hit = latency <= slo``) and the Welford
+        :class:`RunningStats` update is deferred:
+        :meth:`latency_running_stats` replays the recorded samples in fold
+        order on first read, which reproduces an eager update sequence
+        exactly.
         """
         app_name = request.workflow.name
         acc = self._per_app.get(app_name)
         if acc is None:
             acc = self._per_app[app_name] = _AppAccumulator()
         if acc.completed >= acc.registered:
+            # Cheap misuse guard: catches a request folded twice (registered
+            # pre-completed *and* notified via record_completion) and
+            # completions of never-registered requests, both of which would
+            # otherwise silently corrupt rates (e.g. slo_hit_rate > 1).
             raise ValueError(
                 f"completion of request {request.request_id} would exceed the "
                 f"registered request count of app {app_name!r}; was the "
@@ -649,9 +627,9 @@ class MetricsCollector:
         if acc is None:
             return RunningStats()
         if acc.latency_stats.count != len(acc.latency_ms):
-            # Fast-mode folds defer the Welford updates; replaying the
-            # buffered samples in fold order reproduces the eager update
-            # sequence bit for bit.
+            # Folds defer the Welford updates; replaying the recorded
+            # samples in fold order reproduces the eager update sequence
+            # bit for bit.
             stats = RunningStats()
             for sample in acc.latency_ms:
                 stats.update(sample)

@@ -123,7 +123,7 @@ class RequestStream(ABC):
     ) -> Iterator[list[tuple[float, Request]]]:
         """Yield the stream's pairs in lists of up to ``chunk_size``.
 
-        The fast event loop pulls arrivals through this instead of one
+        The event loop pulls arrivals through this instead of one
         ``next()`` per request, amortising the generator re-entry cost.
         The pairs and their order are exactly those of :meth:`__iter__`;
         only the last chunk may be short.  Subclasses may override with a

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.cluster.cluster import ClusterConfig, ClusterState
@@ -119,14 +121,13 @@ class TestPickInvoker:
         assert PrewarmManager._pick_invoker(cluster, "deblur", 10.0) is None
 
 
-class TestProfileCacheDeterminism:
-    """Regression pins for the REP004 fix in ``enable_profile_cache``.
+class TestDemandMemos:
+    """The per-function demand grouping and the desired-instance memo.
 
-    ``_by_function`` used to be built by iterating a set comprehension over
-    the demand keys, inheriting PYTHONHASHSEED-dependent order.  Nothing
-    downstream consumes that order *today*, but the byte-identity contract
-    requires every internal collection a future reader might iterate to be
-    deterministically ordered; these tests pin the sorted construction.
+    The grouping is built in first-observation order (never by iterating a
+    set, so PYTHONHASHSEED cannot reach it) and the planner walks functions
+    in sorted order; the memoized ``desired_warm_instances`` must equal a
+    from-scratch computation over every demand entry after any arrival.
     """
 
     def _seed_arrivals(self, manager, names):
@@ -135,33 +136,46 @@ class TestProfileCacheDeterminism:
             manager.observe_arrival("app", name, 25.0)
             manager.observe_arrival("other_app", name, 10.0)
 
-    def test_by_function_keys_are_sorted(self, manager):
-        self._seed_arrivals(manager, ["deblur", "auth", "background_removal"])
-        manager.enable_profile_cache()
-        keys = list(manager._by_function)
-        assert keys == sorted(keys)
+    @staticmethod
+    def _reference_desired(manager, function_name):
+        rate = 0.0
+        for (_, fn), demand in manager._demand.items():
+            interval = demand.interval_ewma.value
+            if fn != function_name or interval is None or demand.observed_arrivals < 2:
+                continue
+            rate += 1.0 / interval
+        if rate == 0.0:
+            return 1
+        store = manager.profile_store
+        service_ms = store.profile(function_name).latency_ms(store.space.minimum)
+        concurrency = rate * service_ms * manager.safety_factor
+        return int(min(manager.max_warm_per_function, max(1, math.ceil(concurrency))))
 
-    def test_by_function_order_independent_of_insertion_order(self, small_store):
-        names = ["deblur", "auth", "background_removal", "resize"]
+    def test_planner_walks_functions_in_sorted_order(self, manager, cluster):
+        self._seed_arrivals(manager, ["segmentation", "deblur", "background_removal"])
+        manager.plan(cluster, now_ms=30.0)
+        assert manager._functions_sorted == ["background_removal", "deblur", "segmentation"]
+
+    def test_grouping_independent_of_insertion_order(self, small_store):
+        names = ["deblur", "classification", "background_removal", "super_resolution"]
         forward = PrewarmManager(profile_store=small_store)
         backward = PrewarmManager(profile_store=small_store)
         self._seed_arrivals(forward, names)
         self._seed_arrivals(backward, list(reversed(names)))
-        forward.enable_profile_cache()
-        backward.enable_profile_cache()
-        assert list(forward._by_function) == list(backward._by_function)
+        assert sorted(forward._by_function) == sorted(backward._by_function)
         for fn in forward._by_function:
             assert len(forward._by_function[fn]) == len(backward._by_function[fn])
+            assert forward.desired_warm_instances(fn) == backward.desired_warm_instances(fn)
 
-    def test_cache_preserves_desired_instance_parity(self, small_store):
-        """Fast-mode memos must not change the planner's answers."""
+    def test_memo_matches_reference_after_every_arrival(self, small_store):
         names = ["deblur", "classification"]
-        compat = PrewarmManager(profile_store=small_store)
-        fast = PrewarmManager(profile_store=small_store)
-        for m in (compat, fast):
-            for i in range(6):
-                for name in names:
-                    m.observe_arrival("app", name, i * 40.0)
-        fast.enable_profile_cache()
-        for name in names:
-            assert fast.desired_warm_instances(name) == compat.desired_warm_instances(name)
+        manager = PrewarmManager(profile_store=small_store)
+        for i in range(6):
+            for name in names:
+                manager.observe_arrival("app", name, i * 40.0)
+                manager.observe_arrival("other_app", name, i * 40.0 + 7.0)
+                for fn in names:
+                    # Queried twice: the second answer comes from the memo.
+                    expected = self._reference_desired(manager, fn)
+                    assert manager.desired_warm_instances(fn) == expected
+                    assert manager.desired_warm_instances(fn) == expected

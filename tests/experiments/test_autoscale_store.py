@@ -1,4 +1,4 @@
-"""Result-store keys cover the autoscale config (schema v2).
+"""Result-store keys cover the autoscale config (since schema v2).
 
 An adaptive run and its static twin must never share a store cell, and two
 spellings of the same controller (registered name vs. the spec object) must
@@ -37,11 +37,29 @@ def _autoscaled(autoscale) -> RunSpec:
 
 
 class TestAutoscaleSpecKey:
-    def test_schema_version_bumped_for_autoscale(self):
-        # The key document gained a field: runs keyed by the v1 schema must
-        # not alias into v2 cells.
-        assert STORE_SCHEMA_VERSION == 2
-        assert "autoscale" in spec_key_doc(_spec())["config"]
+    def test_config_fields_are_pinned_with_the_schema_version(self):
+        # Adding or removing a key-document field changes every key, so the
+        # field set and STORE_SCHEMA_VERSION move together: a field change
+        # without a version bump (or vice versa) fails here.
+        config_fields = sorted(spec_key_doc(_spec())["config"])
+        assert (STORE_SCHEMA_VERSION, config_fields) == (
+            3,
+            [
+                "autoscale",
+                "burstiness",
+                "churn",
+                "cluster",
+                "cluster_pinned",
+                "controller",
+                "max_time_ms",
+                "metrics_mode",
+                "noise_sigma",
+                "num_requests",
+                "seed",
+                "space",
+                "workload_mode",
+            ],
+        )
 
     def test_adding_a_controller_changes_the_key(self):
         assert spec_key(_autoscaled("threshold-default")) != spec_key(_spec())

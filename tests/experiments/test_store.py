@@ -105,7 +105,6 @@ class TestSpecKey:
             lambda: _spec(config=ExperimentConfig(num_requests=7, seed=11)),
             lambda: _spec(config=ExperimentConfig(num_requests=6, seed=12)),
             lambda: _spec(config=ExperimentConfig(num_requests=6, churn="harvest-mild")),
-            lambda: _spec(config=ExperimentConfig(num_requests=6, loop_mode="compat")),
         ],
     )
     def test_code_relevant_changes_change_the_key(self, variant):

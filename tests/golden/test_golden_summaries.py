@@ -30,7 +30,6 @@ from repro.experiments.engine import ExperimentEngine, RunSpec
 from repro.experiments.runner import build_profile_store, run_experiment
 
 CELLS = {cell.cell_id: cell for cell in golden_cells()}
-LOOP_MODES = ("fast", "compat")
 
 STREAMING = {"workload_mode": "streaming", "metrics": MetricsConfig(mode="streaming")}
 STREAMING_METRICS = {"metrics": MetricsConfig(mode="streaming")}
@@ -94,20 +93,18 @@ class TestRecordedFile:
         assert all(s["num_requests"] > 0 for s in summaries)
 
 
-@pytest.mark.parametrize("loop_mode", LOOP_MODES)
 @pytest.mark.parametrize("cell_id", sorted(CELLS))
-def test_cell_matches_golden(store, goldens, cell_id, loop_mode):
-    assert_matches_golden(goldens, cell_id, run_cell(store, cell_id, loop_mode=loop_mode).summary)
+def test_cell_matches_golden(store, goldens, cell_id):
+    assert_matches_golden(goldens, cell_id, run_cell(store, cell_id).summary)
 
 
-@pytest.mark.parametrize("loop_mode", LOOP_MODES)
 @pytest.mark.parametrize(
     ("cell_id", "overrides"),
     [(cell_id, overrides) for cell_id, _, overrides in MODE_VARIANTS],
     ids=[f"{cell_id}-{name}" for cell_id, name, _ in MODE_VARIANTS],
 )
-def test_mode_variant_matches_golden(store, goldens, cell_id, overrides, loop_mode):
-    result = run_cell(store, cell_id, loop_mode=loop_mode, **overrides)
+def test_mode_variant_matches_golden(store, goldens, cell_id, overrides):
+    result = run_cell(store, cell_id, **overrides)
     assert_matches_golden(goldens, cell_id, result.summary)
 
 

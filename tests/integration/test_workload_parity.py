@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.cluster.simulator as simulator_module
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.metrics import MetricsConfig
 from repro.cluster.simulator import Simulation, SimulationConfig
@@ -128,21 +129,20 @@ class TestStreamingVsMaterializedSummaries:
 
 
 class TestStreamingSimulationMechanics:
-    def test_event_queue_stays_small(self, store):
-        """Exactly one pending arrival: the queue scales with in-flight
-        work (plus lazily-cancelled keep-alive timers), not the workload
-        length — a materialized run starts with every arrival pending."""
+    def test_event_queue_stays_small(self, store, monkeypatch):
+        """Bounded pending arrivals: streaming keeps at most one chunk of
+        future arrivals queued, so the queue scales with in-flight work
+        (plus lazily-cancelled keep-alive timers), not the workload length —
+        a materialized run starts with every arrival pending."""
         scenario = get_scenario("paper-moderate-normal")
         num_requests = 120
+        # One arrival per refill makes the bound visible at a tier-1 request
+        # count (the production chunk of 256 exceeds this whole workload).
+        monkeypatch.setattr(simulator_module, "ARRIVAL_CHUNK", 1)
         # Scan-mode expiry (no event-driven keep-alive timers) isolates the
         # workload's own contribution to the queue: indexed mode's lazily
-        # cancelled timer events would dominate both modes equally.  Compat
-        # loop mode keeps the one-pending-arrival pull this invariant is
-        # about — the fast loop deliberately buffers arrivals in chunks of
-        # ARRIVAL_CHUNK (bounded, but larger than this workload).
-        config = SimulationConfig(
-            seed=42, loop_mode="compat", cluster=ClusterConfig(index_mode="scan")
-        )
+        # cancelled timer events would dominate both modes equally.
+        config = SimulationConfig(seed=42, cluster=ClusterConfig(index_mode="scan"))
 
         def peak_queue(workload):
             simulation = Simulation(

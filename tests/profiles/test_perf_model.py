@@ -13,7 +13,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.profiles.configuration import Configuration
-from repro.profiles.perf_model import AnalyticalPerformanceModel, NoisyPerformanceModel
+from repro.profiles.perf_model import (
+    NOISE_BUFFER,
+    AnalyticalPerformanceModel,
+    NoisyPerformanceModel,
+)
 from repro.profiles.pricing import PricingModel
 from repro.profiles.specs import FUNCTION_SPECS, get_function_spec
 from repro.utils.rng import derive_rng
@@ -154,3 +158,18 @@ class TestNoisyModel:
         for _ in range(3):
             noisy.latency_ms(spec, Configuration(1, 1, 1))
         assert noisy.draws == 3
+
+    def test_block_draws_equal_scalar_draws_across_refills(self):
+        """Noise is drawn in blocks of NOISE_BUFFER; the samples must equal
+        one-at-a-time draws from an identical dedicated generator, across
+        a buffer refill."""
+        base = AnalyticalPerformanceModel()
+        spec = get_function_spec("deblur")
+        cfg = Configuration(2, 2, 2)
+        noisy = NoisyPerformanceModel(base=base, rng=derive_rng(5, "blocks"), sigma=0.1)
+        reference_rng = derive_rng(5, "blocks")
+        mean = base.latency_ms(spec, cfg)
+        for _ in range(NOISE_BUFFER + 5):
+            factor = 1.0 + float(reference_rng.normal(0.0, 0.1))
+            expected = max(0.5 * mean, mean * factor)
+            assert noisy.latency_ms(spec, cfg) == expected
