@@ -14,8 +14,12 @@ function sequence, ESG_1Q computes three quantities:
   cost, so it is used to tighten ``best_full_paths_maxCost`` (the K-th best
   known upper bound).
 
-The suffix minima only depend on the stage list, so they are precomputed
-once per search in :class:`SuffixBounds`.
+The suffix minima only depend on the stage list; :class:`SuffixBounds`
+builds them once per search.  :meth:`SuffixBounds.bounds_for_extension` is
+the reference definition of the three bounds.  The search kernel in
+:mod:`repro.core.esg_1q` inlines the same formulas, with the same float
+association ``(prefix + entry) + suffix``, rather than calling it once per
+extension.
 """
 
 from __future__ import annotations

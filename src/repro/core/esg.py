@@ -127,6 +127,10 @@ class ESGPolicy(SchedulingPolicy):
         #: function of (app, stage).  Only the remaining-budget factor is
         #: per-request; it is applied with the original operation order.
         self._fresh_group_cache: dict[tuple[str, str], tuple[tuple[str, ...], float, float]] = {}
+        #: Memo of :meth:`_stage_spec`, keyed by (stage id, function, batch
+        #: cap); the cap is clamped to the largest batch option, so the memo
+        #: is bounded by the stages of the bound workflows.
+        self._spec_cache: dict[tuple[str, str, int | None], StageSearchSpec] = {}
 
     # ------------------------------------------------------------------
     # SchedulingPolicy lifecycle
@@ -143,6 +147,7 @@ class ESGPolicy(SchedulingPolicy):
         """Drop memoized plans (call after changing profiles or distributions)."""
         self._plan_cache.clear()
         self._fresh_group_cache.clear()
+        self._spec_cache.clear()
 
     def distribution_for(self, app_name: str) -> SLODistribution:
         """The SLO distribution of an application (computed lazily if needed)."""
@@ -282,21 +287,31 @@ class ESGPolicy(SchedulingPolicy):
 
     def _stage_specs(self, queue: AFWQueue, group_stage_ids: list[str]) -> list[StageSearchSpec]:
         """Build the per-stage search inputs, applying the ablation filters."""
+        function_of = queue.workflow.function_of
+        return [
+            self._stage_spec(stage_id, function_of(stage_id), len(queue) if position == 0 else None)
+            for position, stage_id in enumerate(group_stage_ids)
+        ]
+
+    def _stage_spec(
+        self, stage_id: str, function_name: str, max_batch: int | None
+    ) -> StageSearchSpec:
+        """The memoized search input of one stage under a batch cap."""
         store = self.context.profile_store
-        workflow = queue.workflow
-        specs: list[StageSearchSpec] = []
-        for position, stage_id in enumerate(group_stage_ids):
-            profile = store.profile(workflow.function_of(stage_id))
-            max_batch = len(queue) if position == 0 else None
-            entries = self._filtered_entries(profile, max_batch)
-            specs.append(
-                StageSearchSpec(
-                    stage_id=stage_id,
-                    function_name=profile.spec.name,
-                    entries=entries,
-                )
+        if max_batch is not None:
+            # A cap at or above the largest batch option filters nothing.
+            max_batch = min(max_batch, store.space.batch_options[-1])
+        key = (stage_id, function_name, max_batch)
+        spec = self._spec_cache.get(key)
+        if spec is None:
+            profile = store.profile(function_name)
+            spec = StageSearchSpec(
+                stage_id=stage_id,
+                function_name=profile.spec.name,
+                entries=self._filtered_entries(profile, max_batch),
             )
-        return specs
+            self._spec_cache[key] = spec
+        return spec
 
     def _filtered_entries(
         self, profile: FunctionProfile, max_batch: int | None
@@ -354,17 +369,15 @@ class ESGPolicy(SchedulingPolicy):
         )
 
     def _stage_specs_for_plan(self, queue: AFWQueue, stage_ids: list[str]) -> list[StageSearchSpec]:
-        store = self.context.profile_store
-        workflow = queue.workflow
-        specs = []
-        for position, stage_id in enumerate(stage_ids):
-            profile = store.profile(workflow.function_of(stage_id))
-            max_batch = len(queue) if position == 0 and stage_id == queue.stage_id else None
-            entries = self._filtered_entries(profile, max_batch)
-            specs.append(
-                StageSearchSpec(stage_id=stage_id, function_name=profile.spec.name, entries=entries)
+        function_of = queue.workflow.function_of
+        return [
+            self._stage_spec(
+                stage_id,
+                function_of(stage_id),
+                len(queue) if position == 0 and stage_id == queue.stage_id else None,
             )
-        return specs
+            for position, stage_id in enumerate(stage_ids)
+        ]
 
     # ------------------------------------------------------------------
     # Dispatch

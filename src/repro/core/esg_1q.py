@@ -26,7 +26,10 @@ configuration) is returned so the scheduler can still make progress, as in
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from bisect import insort
+from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import Sequence
 
 from repro.core.bounds import SuffixBounds
@@ -68,7 +71,7 @@ class StageSearchSpec:
         """Latency of the fastest configuration."""
         return self.entries[0].latency_ms
 
-    @property
+    @cached_property
     def min_cost_cents(self) -> float:
         """Per-job cost of the cheapest configuration."""
         return min(e.per_job_cost_cents for e in self.entries)
@@ -83,8 +86,16 @@ class StageSearchSpec:
         """The fastest configuration entry."""
         return self.entries[0]
 
+    @cached_property
+    def table(self) -> tuple[tuple[float, float, Configuration], ...]:
+        """``(latency_ms, per_job_cost_cents, config)`` of every entry, in
+        entry order: the search loop unpacks these instead of reading
+        attributes off each :class:`ProfileEntry`."""
+        return tuple((e.latency_ms, e.per_job_cost_cents, e.config) for e in self.entries)
+
+    @cached_property
     def suffix_min_costs(self) -> tuple[float, ...]:
-        """``suffix_min_costs()[j]`` = cheapest per-job cost among ``entries[j:]``.
+        """``suffix_min_costs[j]`` = cheapest per-job cost among ``entries[j:]``.
 
         Used by the search to stop scanning a stage's (latency-ordered)
         configuration list as soon as no remaining entry could pass the cost
@@ -135,6 +146,8 @@ class ESG1QResult:
     pruned_cost: int
     search_time_ms: float
     stage_ids: tuple[str, ...] = ()
+    #: True when ``max_expansions`` stopped the search before it finished.
+    truncated: bool = False
 
     @property
     def best(self) -> PathCandidate | None:
@@ -153,13 +166,10 @@ class ESG1QResult:
         return out
 
 
-@dataclass
-class _PartialPath:
-    """Internal: a prefix of a configuration path."""
-
-    configs: list[Configuration] = field(default_factory=list)
-    latency_ms: float = 0.0
-    cost_cents: float = 0.0
+#: Sort keys of the ``(cost_cents, latency_ms, configs)`` path tuples; both
+#: sorts are stable, so ties keep the order the paths were generated in.
+_COST = itemgetter(0)
+_COST_THEN_LATENCY = itemgetter(0, 1)
 
 
 def _suffix_bounds(stages: Sequence[StageSearchSpec]) -> SuffixBounds:
@@ -204,7 +214,10 @@ def esg_1q_search(
         exceeded, only the cheapest are kept (the paper's pruning normally
         keeps the frontier far below this).
     max_expansions:
-        Safety cap on the total number of path extensions examined.
+        Safety cap on the total number of path extensions examined.  The
+        cap is checked before each partial path is extended, so a search
+        can overshoot it by up to one stage's entry count; a search it
+        stops reports ``truncated``.
 
     Returns
     -------
@@ -235,14 +248,16 @@ def esg_1q_search(
     # repro: allow[REP001] search_time_ms is a diagnostic on the result (figures 10/11 report real search cost); scheduling overhead in simulations is modeled via per_expansion_ms, never this measurement
     start_time = _time.perf_counter()
     suffix = _suffix_bounds(stages)
-    stage_suffix_min_costs = [stage.suffix_min_costs() for stage in stages]
 
     # best_full_paths_maxCost in the paper: the K-th smallest achievable
-    # completion cost seen so far (list kept sorted, ascending).
+    # completion cost seen so far (list kept sorted, ascending); ``threshold``
+    # caches its last element and is refreshed only when the list changes.
     min_rsc: list[float] = [float("inf")] * k
+    threshold = min_rsc[-1]
 
-    paths: list[_PartialPath] = [_PartialPath()]
-    complete: list[PathCandidate] = []
+    # Partial and complete paths are ``(cost_cents, latency_ms, configs)``.
+    paths: list[tuple[float, float, tuple[Configuration, ...]]] = [(0.0, 0.0, ())]
+    complete: list[tuple[float, float, tuple[Configuration, ...]]] = []
     expansions = 0
     pruned_time = 0
     pruned_cost = 0
@@ -250,69 +265,55 @@ def esg_1q_search(
 
     num_stages = len(stages)
     for stage_index, stage in enumerate(stages):
-        is_last = stage_index == num_stages - 1
-        new_paths: list[_PartialPath] = []
+        next_index = stage_index + 1
+        is_last = next_index == num_stages
+        new_paths: list[tuple[float, float, tuple[Configuration, ...]]] = []
         # Expanding cheap prefixes first lets their rscFastest values tighten
         # the cost blade before expensive prefixes are considered.
-        paths.sort(key=lambda p: p.cost_cents)
-        suffix_min_cost = stage_suffix_min_costs[stage_index]
-        remaining_min_cost = suffix.min_cost_suffix[stage_index + 1]
-        for path in paths:
+        paths.sort(key=_COST)
+        table = stage.table
+        suffix_min_cost = stage.suffix_min_costs
+        # The bounds of SuffixBounds.bounds_for_extension, inlined with its
+        # float association: (prefix + entry) + suffix.
+        latency_rest = suffix.min_latency_suffix[next_index]
+        cost_rest = suffix.min_cost_suffix[next_index]
+        fastest_rest = suffix.fastest_cost_suffix[next_index]
+        for path_cost, path_latency, path_configs in paths:
             if expansions >= max_expansions:
                 truncated = True
                 break
-            for entry_index, entry in enumerate(stage.entries):
+            for entry_index, (entry_latency, entry_cost, config) in enumerate(table):
                 # Early exit on the cost blade: if even the cheapest of the
                 # remaining (slower) entries cannot beat the current K-th
                 # best completion cost, none of them can survive.
-                if (
-                    path.cost_cents + suffix_min_cost[entry_index] + remaining_min_cost
-                    >= min_rsc[-1]
-                ):
+                if path_cost + suffix_min_cost[entry_index] + cost_rest >= threshold:
                     pruned_cost += 1
                     break
                 expansions += 1
-                bounds = suffix.bounds_for_extension(
-                    path.latency_ms,
-                    path.cost_cents,
-                    entry.latency_ms,
-                    entry.per_job_cost_cents,
-                    stage_index + 1,
-                )
-                if bounds.t_low_ms >= target_latency_ms:
+                latency = path_latency + entry_latency
+                if latency + latency_rest >= target_latency_ms:
                     # Entries are sorted by latency: every later entry can
                     # only be slower, so stop scanning this stage's list.
                     pruned_time += 1
                     break
-                if bounds.rsc_low_cents >= min_rsc[-1]:
+                cost = path_cost + entry_cost
+                if cost + cost_rest >= threshold:
                     pruned_cost += 1
                     continue
                 # Tighten the cost blade with this achievable completion.
-                _insert_sorted_capped(min_rsc, bounds.rsc_fastest_cents)
-                new_latency = path.latency_ms + entry.latency_ms
-                new_cost = path.cost_cents + entry.per_job_cost_cents
+                rsc_fastest = cost + fastest_rest
+                if rsc_fastest < threshold:
+                    insort(min_rsc, rsc_fastest)
+                    min_rsc.pop()
+                    threshold = min_rsc[-1]
                 if is_last:
-                    complete.append(
-                        PathCandidate(
-                            configs=tuple(path.configs) + (entry.config,),
-                            latency_ms=new_latency,
-                            cost_cents=new_cost,
-                        )
-                    )
+                    complete.append((cost, latency, path_configs + (config,)))
                 else:
-                    new_paths.append(
-                        _PartialPath(
-                            configs=path.configs + [entry.config],
-                            latency_ms=new_latency,
-                            cost_cents=new_cost,
-                        )
-                    )
-        if truncated:
-            break
-        if is_last:
+                    new_paths.append((cost, latency, path_configs + (config,)))
+        if truncated or is_last:
             break
         if len(new_paths) > max_paths:
-            new_paths.sort(key=lambda p: p.cost_cents)
+            new_paths.sort(key=_COST)
             new_paths = new_paths[:max_paths]
         paths = new_paths
         if not paths:
@@ -321,12 +322,15 @@ def esg_1q_search(
     # repro: allow[REP001] closes the diagnostic-only measurement started above
     search_time_ms = (_time.perf_counter() - start_time) * 1000.0
 
-    complete.sort(key=lambda c: (c.cost_cents, c.latency_ms))
+    complete.sort(key=_COST_THEN_LATENCY)
     feasible = bool(complete)
     if not feasible:
         result_paths = _default_paths(stages)
     else:
-        result_paths = complete[:k]
+        result_paths = [
+            PathCandidate(configs=configs, latency_ms=latency, cost_cents=cost)
+            for cost, latency, configs in complete[:k]
+        ]
     return ESG1QResult(
         paths=result_paths,
         target_latency_ms=target_latency_ms,
@@ -336,16 +340,5 @@ def esg_1q_search(
         pruned_cost=pruned_cost,
         search_time_ms=search_time_ms,
         stage_ids=tuple(s.stage_id for s in stages),
+        truncated=truncated,
     )
-
-
-def _insert_sorted_capped(values: list[float], new_value: float) -> None:
-    """Insert ``new_value`` into the ascending list, keeping its length fixed."""
-    if new_value >= values[-1]:
-        return
-    # Linear insertion: the list has K elements (K is small, default 5).
-    for i, v in enumerate(values):
-        if new_value < v:
-            values.insert(i, new_value)
-            values.pop()
-            return

@@ -153,6 +153,39 @@ class TestPlanning:
         assert len(decision.candidates) >= 1
 
 
+class TestStageSpecMemo:
+    def test_specs_are_reused_across_plans(self, bound_esg, small_store):
+        wf = bound_esg.context.workflows["image_classification"]
+        queue = make_queue(wf, "s1")
+        add_request(queue, 0, slo_factor=1.2, store=small_store)
+        first = bound_esg._stage_specs(queue, ["s1", "s2", "s3"])
+        second = bound_esg._stage_specs(queue, ["s1", "s2", "s3"])
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_batch_cap_clamped_to_largest_option(self, bound_esg, small_store):
+        wf = bound_esg.context.workflows["image_classification"]
+        largest = small_store.space.batch_options[-1]
+        specs = []
+        for length in (largest, largest + 3):
+            queue = make_queue(wf, "s1")
+            for i in range(length):
+                add_request(queue, i, slo_factor=1.2, store=small_store)
+            specs.append(bound_esg._stage_specs(queue, ["s1"])[0])
+        assert specs[0] is specs[1]
+        profile = small_store.profile(wf.function_of("s1"))
+        assert specs[0].entries == profile.sorted_by_latency()
+
+    def test_invalidate_plan_cache_drops_specs(self, bound_esg, small_store):
+        wf = bound_esg.context.workflows["image_classification"]
+        queue = make_queue(wf, "s1")
+        add_request(queue, 0, slo_factor=1.2, store=small_store)
+        before = bound_esg._stage_specs(queue, ["s1"])[0]
+        bound_esg.invalidate_plan_cache()
+        after = bound_esg._stage_specs(queue, ["s1"])[0]
+        assert after is not before
+        assert after == before
+
+
 class TestAblationSwitches:
     def test_no_batching_only_plans_batch_one(self, small_store):
         policy = ESGPolicy(batching=False)
