@@ -541,7 +541,7 @@ def check_mutable_defaults(ctx: ModuleContext) -> Iterator[Finding]:
 _SPEC_CONSTRUCTORS = frozenset(
     {
         "RunSpec", "Scenario", "ExperimentConfig", "SimulationConfig",
-        "ClusterConfig", "MetricsConfig", "ChurnSpec", "ChurnSchedule",
+        "ClusterConfig", "ChurnSpec", "ChurnSchedule",
         "ChurnAction", "ClusterTopology", "replace",
     }
 )

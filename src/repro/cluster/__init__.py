@@ -56,7 +56,7 @@ from repro.cluster.events import (
 )
 from repro.cluster.gpu import GpuDevice
 from repro.cluster.invoker import Invoker
-from repro.cluster.metrics import MetricsCollector, MetricsConfig, RunSummary
+from repro.cluster.metrics import MetricsCollector, RunSummary
 from repro.cluster.policy_api import (
     AFWQueue,
     SchedulingContext,
@@ -123,7 +123,6 @@ __all__ = [
     "GpuDevice",
     "Invoker",
     "MetricsCollector",
-    "MetricsConfig",
     "RunSummary",
     "AFWQueue",
     "SchedulingContext",

@@ -139,11 +139,9 @@ class Controller:
     _inflight: dict[int, Task] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        # The cluster's index mode and the collector's storage mode are both
-        # frozen at construction, so snapshot them once instead of chasing
-        # the property chains on every tick.
+        # The cluster's index mode is frozen at construction, so snapshot it
+        # once instead of chasing the property chain on every tick.
         self._indexed: bool = self.cluster.indexed
-        self._metrics_streaming: bool = self.metrics.is_streaming
         # Policies that model their scheduling overhead deterministically
         # let the controller skip the wall-clock measurement around plan().
         self._skip_plan_timing: bool = getattr(
@@ -236,19 +234,16 @@ class Controller:
         self._workflows.setdefault(app_name, workflow)
         # Inlined ``metrics.register_request`` (live collector).
         metrics = self.metrics
-        if self._metrics_streaming:
-            metrics._total.registered += 1
-            acc = metrics._per_app.get(app_name)
-            if acc is None:
-                acc = metrics._app(app_name)
-            acc.registered += 1
-            if acc.slo_ms is None:
-                acc.slo_ms = request.slo_ms
-            if request.completed_ms is not None:
-                # Synthetic feeds may register pre-completed requests.
-                metrics._fold_completion(request)
-        else:
-            metrics.requests.append(request)
+        metrics._total.registered += 1
+        acc = metrics._per_app.get(app_name)
+        if acc is None:
+            acc = metrics._app(app_name)
+        acc.registered += 1
+        if acc.slo_ms is None:
+            acc.slo_ms = request.slo_ms
+        if request.completed_ms is not None:
+            # Synthetic feeds may register pre-completed requests.
+            metrics._fold_completion(request)
         topo = workflow.topology()
         queues = self._queues
         nonempty = self._nonempty
@@ -310,7 +305,6 @@ class Controller:
         stage_id = task.stage_id
         app_name = task.app_name
         metrics = self.metrics
-        streaming = self._metrics_streaming
         queues = self._queues
         for job in task.jobs:
             request = job.request
@@ -337,9 +331,8 @@ class Controller:
                     request.completed_ms = scm[sinks[0]]
                 else:
                     request.completed_ms = max(scm[sink] for sink in sinks)
-                if not was_complete and streaming:
-                    # Exactly-once completion fold; retained mode derives
-                    # completion by scanning, so only streaming pays here.
+                if not was_complete:
+                    # Exactly-once completion fold.
                     metrics._fold_completion(request)
             successors = topo.succ[stage_id]
             if successors:
@@ -846,47 +839,43 @@ class Controller:
             metrics.cold_starts += 1
         else:
             metrics.warm_starts += 1
-        if self._metrics_streaming:
-            start_ms = now_ms + charged_overhead
-            finish_ms = start_ms + duration_ms
-            horizon = metrics.horizon_ms
-            if finish_ms <= horizon:
-                cost = task.cost_cents
-                held_ms = duration_ms
-            else:
-                held_ms = horizon - start_ms
-                if held_ms < 0.0:
-                    held_ms = 0.0
-                cost = (
-                    task.cost_cents * (held_ms / duration_ms)
-                    if duration_ms > 0.0
-                    else 0.0
-                )
-            metrics._total.cost_cents += cost
-            acc = metrics._per_app.get(task.app_name)
-            if acc is None:
-                acc = metrics._app(task.app_name)
-            acc.cost_cents += cost
-            metrics._vgpu_ms += effective.vgpus * held_ms
-            metrics._vcpu_ms += effective.vcpus * held_ms
-            # ``task.waiting_ms()`` with the same left-to-right fold: the
-            # genexp sum starts at (int) 0, whose first addition is exact.
-            waiting = 0
-            for job in jobs:
-                delay = now_ms - job.ready_ms
-                waiting += delay if delay > 0.0 else 0.0
-            metrics._waiting_ms.append(waiting / njobs)
+        start_ms = now_ms + charged_overhead
+        finish_ms = start_ms + duration_ms
+        horizon = metrics.horizon_ms
+        if finish_ms <= horizon:
+            cost = task.cost_cents
+            held_ms = duration_ms
         else:
-            metrics.tasks.append(task)
+            held_ms = horizon - start_ms
+            if held_ms < 0.0:
+                held_ms = 0.0
+            cost = (
+                task.cost_cents * (held_ms / duration_ms)
+                if duration_ms > 0.0
+                else 0.0
+            )
+        metrics._total.cost_cents += cost
+        acc = metrics._per_app.get(task.app_name)
+        if acc is None:
+            acc = metrics._app(task.app_name)
+        acc.cost_cents += cost
+        metrics._vgpu_ms += effective.vgpus * held_ms
+        metrics._vcpu_ms += effective.vcpus * held_ms
+        # ``task.waiting_ms()`` with the same left-to-right fold: the
+        # genexp sum starts at (int) 0, whose first addition is exact.
+        waiting = 0
+        for job in jobs:
+            delay = now_ms - job.ready_ms
+            waiting += delay if delay > 0.0 else 0.0
+        metrics._waiting_ms.append(waiting / njobs)
 
-        finish = now_ms + charged_overhead + duration_ms
         fe = self.events
         if fe is not None:
             # Inlined ``EventLoop.push``: TaskCompletionEvent is a real
             # (non-housekeeping) event with the default sort priority 1, and
-            # ``finish`` >= ``now_ms`` >= 0 so the push-time validation is
+            # ``finish_ms`` >= ``now_ms`` >= 0 so the push-time validation is
             # statically satisfied.
-            heapq.heappush(fe._real, (finish, 1, next(fe._counter), TaskCompletionEvent(time_ms=finish, task=task)))
+            heapq.heappush(fe._real, (finish_ms, 1, next(fe._counter), TaskCompletionEvent(time_ms=finish_ms, task=task)))
         else:
-            self.event_sink(TaskCompletionEvent(time_ms=finish, task=task))
+            self.event_sink(TaskCompletionEvent(time_ms=finish_ms, task=task))
         return task

@@ -6,32 +6,19 @@ end-to-end latencies (Figure 7), pre-planned configuration miss rates
 (Table 4), scheduling overhead distributions (Figures 9-11) and
 GPU-efficiency indicators for the ablation (Figure 12).
 
-The collector runs in one of two modes (:class:`MetricsConfig`):
-
-* ``"retained"`` (default) — every :class:`Request` and :class:`Task` object
-  is kept for the whole run and the derived metrics re-scan them.  Fully
-  debuggable: after a run you can inspect any individual request.
-* ``"streaming"`` — each observation is folded into per-application
-  accumulators at record time (counters, cost sums, Welford
-  :class:`~repro.utils.stats.RunningStats`, and compact ``array('d')``
-  buffers holding exactly the samples the paper's quantiles need) and the
-  ``Request``/``Task`` objects are never retained.  The *collector's*
-  memory per request drops from whole object graphs to a few dozen bytes:
-  the Task/Job graphs (which only the collector keeps alive in retained
-  mode) are freed as the run drains, and nothing survives the run beyond
-  the accumulators.  The workload's own request list still scales with the
-  run size — streaming removes the metrics layer from the memory equation,
-  not the simulation input.
-
-The two modes are **byte-identical**: every accumulator applies the same
-floating-point operations in the same order as the retained scans, so
-``summary()`` produces an equal :class:`RunSummary` either way (asserted by
-the tier-1 parity suite, mirroring the cluster core's ``index_mode="scan"``
-precedent).
+Each observation is folded into per-application accumulators at record
+time: counters, cost sums, and compact ``array('d')`` buffers holding
+exactly the samples the paper's quantiles need.  The collector never keeps
+a :class:`Request` or :class:`Task` alive, so its memory per request is a
+few dozen bytes and the Task/Job graphs are freed as the run drains.  The
+workload's own request list still scales with the run size (see
+``workload_mode``); code that needs individual tasks watches the run
+through :meth:`Simulation.on_event` instead.
 
 Completed requests are ordered canonically by ``(completed_ms,
-request_id)`` in both modes.  Resource-holding metrics (cost, vGPU-ms,
-vCPU-ms) are clamped to the run horizon: a task dispatched before
+request_id)``, so the order in which completion events fold does not move
+any order-sensitive float reduction.  Resource-holding metrics (cost,
+vGPU-ms, vCPU-ms) are clamped to the run horizon: a task dispatched before
 ``max_time_ms`` but finishing past it is only charged for the resource time
 that falls inside the measured window (see :func:`charged_duration_ms`).
 """
@@ -45,39 +32,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.tasks import Task
-from repro.utils.stats import RunningStats, SummaryStats, summarize
+from repro.utils.stats import SummaryStats, summarize
 from repro.workloads.request import Request
 
 __all__ = [
-    "METRICS_MODES",
     "MetricsCollector",
-    "MetricsConfig",
     "RunSummary",
     "charged_cost_cents",
     "charged_duration_ms",
 ]
-
-#: Collector modes accepted by :class:`MetricsConfig`.
-METRICS_MODES = ("retained", "streaming")
-
-
-@dataclass(frozen=True)
-class MetricsConfig:
-    """How the :class:`MetricsCollector` stores its observations.
-
-    ``mode="retained"`` keeps every request/task object alive (the default,
-    debuggable path); ``mode="streaming"`` folds observations into compact
-    per-application accumulators at record time and never retains the
-    objects.  Summaries are byte-identical across modes.
-    """
-
-    mode: str = "retained"
-
-    def __post_init__(self) -> None:
-        if self.mode not in METRICS_MODES:
-            raise ValueError(
-                f"unknown metrics mode {self.mode!r}; expected one of {METRICS_MODES}"
-            )
 
 
 # ----------------------------------------------------------------------
@@ -184,13 +147,12 @@ class RunSummary:
 
 
 class _AppAccumulator:
-    """Streaming-mode accumulator for one application (or the whole run).
+    """Accumulator for one application (or the whole run).
 
     Holds exactly what the summary needs: integer counters, the running cost
-    sum, a Welford :class:`RunningStats` over latencies (replayed from the
-    latency buffer on first read), and three parallel compact buffers —
-    ``completed_ms`` / ``request_ids`` / ``latency_ms`` — from which the
-    exact latency quantiles are computed in canonical completion order.
+    sum, and three parallel compact buffers — ``completed_ms`` /
+    ``request_ids`` / ``latency_ms`` — from which the exact latency
+    quantiles are computed in canonical completion order.
     """
 
     __slots__ = (
@@ -201,7 +163,6 @@ class _AppAccumulator:
         "completed_ms",
         "request_ids",
         "latency_ms",
-        "latency_stats",
         "slo_ms",
     )
 
@@ -213,7 +174,6 @@ class _AppAccumulator:
         self.completed_ms = array("d")
         self.request_ids = array("q")
         self.latency_ms = array("d")
-        self.latency_stats = RunningStats()
         #: SLO budget of the first registered request (all requests of one
         #: application share one SLO within a run); None until one arrives.
         self.slo_ms: float | None = None
@@ -222,9 +182,9 @@ class _AppAccumulator:
         """Latencies in canonical ``(completed_ms, request_id)`` order.
 
         Completion events fold in event-processing order; re-ordering via a
-        single lexsort reproduces exactly the sequence the retained path
-        builds, so every order-sensitive float reduction downstream (numpy
-        pairwise means, left-to-right sums) is bit-identical.
+        single lexsort makes every order-sensitive float reduction
+        downstream (numpy pairwise means, left-to-right sums) independent
+        of that order.
         """
         if not self.latency_ms:
             return []
@@ -243,12 +203,12 @@ _PLACEHOLDER_ERROR = (
 
 
 class _PlaceholderSamples:
-    """Stand-in for a placeholder collector's observation containers.
+    """Stand-in for a placeholder collector's overhead sample buffer.
 
     Any attempt to read it — length, iteration, indexing, truthiness —
     raises the same explicit error as the guarded accessors, so code that
-    reads ``metrics.overhead_ms_samples`` (or ``requests``/``tasks``)
-    directly cannot silently compute from empty data.
+    reads ``metrics.overhead_ms_samples`` directly cannot silently compute
+    from empty data.
     """
 
     def _raise(self):
@@ -272,12 +232,10 @@ class _PlaceholderSamples:
 
 @dataclass
 class MetricsCollector:
-    """Collects per-request and per-task observations during a run.
+    """Folds per-request and per-task observations into run aggregates.
 
-    In retained mode (the default) ``requests`` and ``tasks`` hold every
-    observed object and the derived metrics scan them; in streaming mode
-    (``config.mode == "streaming"``) both lists stay empty and the same
-    quantities are folded into accumulators at record time.  Streaming mode
+    Every record call updates counters and compact per-application buffers
+    at once; no ``Request`` or ``Task`` object is retained.  Completion
     relies on :meth:`record_completion` being called exactly once when a
     request finishes (the controller does this); a request that is already
     complete when registered is folded immediately.
@@ -285,9 +243,9 @@ class MetricsCollector:
 
     policy_name: str = ""
     setting_name: str = ""
-    requests: list[Request] = field(default_factory=list)
-    tasks: list[Task] = field(default_factory=list)
-    overhead_ms_samples: list[float] = field(default_factory=list)
+    #: One sample per plan() call, 8 bytes each; appendable and iterable
+    #: like a list.
+    overhead_ms_samples: array = field(default_factory=lambda: array("d"))
     plan_attempts: int = 0
     plan_misses: int = 0
     cold_starts: int = 0
@@ -302,8 +260,6 @@ class MetricsCollector:
     requeued_jobs: int = 0
     #: Set by the simulator when the run stops before the queue drains.
     truncated: bool = False
-    #: Storage mode (retained vs streaming accumulators).
-    config: MetricsConfig = field(default_factory=MetricsConfig)
     #: The run's ``max_time_ms``; resource-holding metrics (cost, vGPU-ms,
     #: vCPU-ms) are clamped to it so truncated runs are not overcharged.
     horizon_ms: float = math.inf
@@ -318,16 +274,7 @@ class MetricsCollector:
         self._waiting_ms = array("d")
         self._vgpu_ms = 0.0
         self._vcpu_ms = 0.0
-        #: Streaming-mode eviction counter (retained mode scans requests).
         self._evicted = 0
-        if self.is_streaming:
-            # Same append/iterate surface as the list, 8 bytes per sample.
-            self.overhead_ms_samples = array("d", self.overhead_ms_samples)
-
-    @property
-    def is_streaming(self) -> bool:
-        """True when observations fold into accumulators at record time."""
-        return self.config.mode == "streaming"
 
     @classmethod
     def placeholder_from_summary(cls, summary: RunSummary) -> "MetricsCollector":
@@ -340,9 +287,9 @@ class MetricsCollector:
         summary's flags and counters and sets :attr:`placeholder`; every
         observation-derived read — accessor methods (``num_requests``,
         ``slo_hit_rate``, ``latencies_ms``, ``summary()``, ...) *and* the
-        raw ``requests``/``tasks``/``overhead_ms_samples`` containers —
-        raises instead of silently answering from empty data
-        (``prewarm_count`` is not part of the summary and stays 0).
+        raw ``overhead_ms_samples`` buffer — raises instead of silently
+        answering from empty data (``prewarm_count`` is not part of the
+        summary and stays 0).
         """
         collector = cls(
             policy_name=summary.policy,
@@ -359,9 +306,7 @@ class MetricsCollector:
             truncated=summary.truncated,
             placeholder=True,
         )
-        # Direct field reads must fail as loudly as the guarded accessors.
-        collector.requests = _PlaceholderSamples()
-        collector.tasks = _PlaceholderSamples()
+        # Direct buffer reads must fail as loudly as the guarded accessors.
         collector.overhead_ms_samples = _PlaceholderSamples()
         return collector
 
@@ -381,29 +326,23 @@ class MetricsCollector:
     def register_request(self, request: Request) -> None:
         """Register an arriving request (the SLO hit-rate denominator)."""
         self._check_not_placeholder()
-        if self.is_streaming:
-            self._total.registered += 1
-            acc = self._app(request.app_name)
-            acc.registered += 1
-            if acc.slo_ms is None:
-                acc.slo_ms = request.slo_ms
-            if request.is_complete:
-                # Synthetic feeds may register pre-completed requests; fold
-                # them now (record_completion must then not be called again).
-                self._fold_completion(request)
-            return
-        self.requests.append(request)
+        self._total.registered += 1
+        acc = self._app(request.app_name)
+        acc.registered += 1
+        if acc.slo_ms is None:
+            acc.slo_ms = request.slo_ms
+        if request.is_complete:
+            # Synthetic feeds may register pre-completed requests; fold
+            # them now (record_completion must then not be called again).
+            self._fold_completion(request)
 
     def record_completion(self, request: Request) -> None:
-        """Notify the collector that a registered request just completed.
+        """Fold a registered request that just completed.
 
         The controller calls this exactly once, at the moment the final sink
-        stage finishes.  Retained mode derives completion by scanning, so the
-        call is a no-op there; streaming mode folds the latency sample here.
+        stage finishes.
         """
         self._check_not_placeholder()
-        if not self.is_streaming:
-            return
         if not request.is_complete:
             raise ValueError(
                 f"request {request.request_id} has not completed; "
@@ -412,14 +351,10 @@ class MetricsCollector:
         self._fold_completion(request)
 
     def _fold_completion(self, request: Request) -> None:
-        """Fold one completed request into the streaming accumulators.
+        """Fold one completed request into the accumulators.
 
         The latency/SLO properties are inlined (``latency = completed -
-        arrival``, ``hit = latency <= slo``) and the Welford
-        :class:`RunningStats` update is deferred:
-        :meth:`latency_running_stats` replays the recorded samples in fold
-        order on first read, which reproduces an eager update sequence
-        exactly.
+        arrival``, ``hit = latency <= slo``).
         """
         app_name = request.workflow.name
         acc = self._per_app.get(app_name)
@@ -453,22 +388,19 @@ class MetricsCollector:
         acc.latency_ms.append(latency)
 
     def record_task(self, task: Task) -> None:
-        """Record a dispatched task and its latency breakdown."""
+        """Record a dispatched task: start kind, charged cost and waiting."""
         self._check_not_placeholder()
         if task.was_cold_start:
             self.cold_starts += 1
         else:
             self.warm_starts += 1
-        if self.is_streaming:
-            cost = charged_cost_cents(task, self.horizon_ms)
-            held_ms = charged_duration_ms(task, self.horizon_ms)
-            self._total.cost_cents += cost
-            self._app(task.app_name).cost_cents += cost
-            self._vgpu_ms += task.config.vgpus * held_ms
-            self._vcpu_ms += task.config.vcpus * held_ms
-            self._waiting_ms.append(task.waiting_ms())
-            return
-        self.tasks.append(task)
+        cost = charged_cost_cents(task, self.horizon_ms)
+        held_ms = charged_duration_ms(task, self.horizon_ms)
+        self._total.cost_cents += cost
+        self._app(task.app_name).cost_cents += cost
+        self._vgpu_ms += task.config.vgpus * held_ms
+        self._vcpu_ms += task.config.vcpus * held_ms
+        self._waiting_ms.append(task.waiting_ms())
 
     def record_overhead(self, overhead_ms: float) -> None:
         """Record one scheduling-overhead sample (one plan() invocation)."""
@@ -515,126 +447,67 @@ class MetricsCollector:
         self.requeued_jobs += count
 
     def record_request_evicted(self, request: Request) -> None:
-        """Notify the collector that ``request`` was terminally evicted.
+        """Count ``request`` as terminally evicted.
 
         The controller calls this exactly once, right after stamping
-        ``request.evicted_ms``.  Retained mode derives the count by scanning
-        the request list, so only streaming mode counts here — mirroring
-        :meth:`record_completion`.
+        ``request.evicted_ms`` — mirroring :meth:`record_completion`.
         """
         self._check_not_placeholder()
-        if self.is_streaming:
-            self._evicted += 1
+        self._evicted += 1
 
     # ------------------------------------------------------------------
     # Derived metrics
     # ------------------------------------------------------------------
-    def completed_requests(self, app_name: str | None = None) -> list[Request]:
-        """Requests that finished (optionally filtered by application)."""
-        self._check_not_placeholder()
-        if self.is_streaming:
-            raise RuntimeError(
-                "a streaming MetricsCollector does not retain Request objects; "
-                "use MetricsConfig(mode='retained') to inspect individual requests"
-            )
-        return [
-            r
-            for r in self.requests
-            if r.is_complete and (app_name is None or r.app_name == app_name)
-        ]
+    def _scope(self, app_name: str | None) -> _AppAccumulator | None:
+        """The whole-run accumulator, or one app's (None if unseen)."""
+        return self._total if app_name is None else self._per_app.get(app_name)
 
     def num_requests(self, app_name: str | None = None) -> int:
         """Number of registered requests (optionally of one application)."""
         self._check_not_placeholder()
-        if self.is_streaming:
-            acc = self._total if app_name is None else self._per_app.get(app_name)
-            return acc.registered if acc is not None else 0
-        return sum(1 for r in self.requests if app_name is None or r.app_name == app_name)
+        acc = self._scope(app_name)
+        return acc.registered if acc is not None else 0
 
     def num_completed(self, app_name: str | None = None) -> int:
         """Number of completed requests (optionally of one application)."""
         self._check_not_placeholder()
-        if self.is_streaming:
-            acc = self._total if app_name is None else self._per_app.get(app_name)
-            return acc.completed if acc is not None else 0
-        return len(self.completed_requests(app_name))
+        acc = self._scope(app_name)
+        return acc.completed if acc is not None else 0
 
     def num_evicted(self) -> int:
         """Number of requests terminally failed by node evictions."""
         self._check_not_placeholder()
-        if self.is_streaming:
-            return self._evicted
-        return sum(1 for r in self.requests if r.evicted_ms is not None)
+        return self._evicted
 
     def app_slo_ms(self, app_name: str) -> float | None:
         """SLO budget of ``app_name``'s requests in this run (None if unseen).
 
         Every request of one application carries the same SLO within a run
         (setting factor x the app's base latency), so the first registered
-        request's value stands for the app.  Served in both modes — in
-        streaming mode no ``Request`` object survives, so the figure
-        modules must read the SLO here rather than from a request list.
+        request's value stands for the app.  No ``Request`` object survives
+        the run, so the figure modules read the SLO here.
         """
         self._check_not_placeholder()
-        if self.is_streaming:
-            acc = self._per_app.get(app_name)
-            return acc.slo_ms if acc is not None else None
-        for request in self.requests:
-            if request.app_name == app_name:
-                return request.slo_ms
-        return None
+        acc = self._per_app.get(app_name)
+        return acc.slo_ms if acc is not None else None
 
     def slo_hit_rate(self, app_name: str | None = None) -> float:
         """Fraction of *all* registered requests that completed within SLO."""
         self._check_not_placeholder()
-        if self.is_streaming:
-            acc = self._total if app_name is None else self._per_app.get(app_name)
-            if acc is None or acc.registered == 0:
-                return 0.0
-            return acc.slo_hits / acc.registered
-        relevant = [r for r in self.requests if app_name is None or r.app_name == app_name]
-        if not relevant:
+        acc = self._scope(app_name)
+        if acc is None or acc.registered == 0:
             return 0.0
-        hits = sum(1 for r in relevant if r.slo_hit)
-        return hits / len(relevant)
+        return acc.slo_hits / acc.registered
 
     def latencies_ms(self, app_name: str | None = None) -> list[float]:
         """End-to-end latencies of completed requests.
 
-        Canonical order in both modes: ``(completed_ms, request_id)``
-        ascending, so streaming buffers and retained scans produce the same
-        sequence bit-for-bit.
+        Canonical order: ``(completed_ms, request_id)`` ascending, whatever
+        the order in which the completions were recorded.
         """
         self._check_not_placeholder()
-        if self.is_streaming:
-            acc = self._total if app_name is None else self._per_app.get(app_name)
-            return acc.ordered_latencies() if acc is not None else []
-        done = sorted(
-            self.completed_requests(app_name),
-            key=lambda r: (r.completed_ms, r.request_id),
-        )
-        return [r.latency_ms for r in done]
-
-    def latency_running_stats(self, app_name: str | None = None) -> RunningStats:
-        """Welford running mean/std of latencies (streaming mode only)."""
-        self._check_not_placeholder()
-        if not self.is_streaming:
-            raise RuntimeError(
-                "running latency stats are maintained in streaming mode only; "
-                "retained mode can summarize(latencies_ms()) instead"
-            )
-        acc = self._total if app_name is None else self._per_app.get(app_name)
-        if acc is None:
-            return RunningStats()
-        if acc.latency_stats.count != len(acc.latency_ms):
-            # Folds defer the Welford updates; replaying the recorded
-            # samples in fold order reproduces the eager update sequence
-            # bit for bit.
-            stats = RunningStats()
-            for sample in acc.latency_ms:
-                stats.update(sample)
-            acc.latency_stats = stats
-        return acc.latency_stats
+        acc = self._scope(app_name)
+        return acc.ordered_latencies() if acc is not None else []
 
     def total_cost_cents(self, app_name: str | None = None) -> float:
         """Sum of task costs (optionally of one application).
@@ -643,14 +516,8 @@ class MetricsCollector:
         run horizon (:func:`charged_cost_cents`).
         """
         self._check_not_placeholder()
-        if self.is_streaming:
-            acc = self._total if app_name is None else self._per_app.get(app_name)
-            return acc.cost_cents if acc is not None else 0.0
-        return sum(
-            charged_cost_cents(t, self.horizon_ms)
-            for t in self.tasks
-            if app_name is None or t.app_name == app_name
-        )
+        acc = self._scope(app_name)
+        return acc.cost_cents if acc is not None else 0.0
 
     def cost_per_request_cents(self, app_name: str | None = None) -> float:
         """Total cost divided by the number of registered requests."""
@@ -674,39 +541,27 @@ class MetricsCollector:
     def waiting_ms_samples(self) -> list[float]:
         """Queueing delay of every dispatched task (task-record order)."""
         self._check_not_placeholder()
-        if self.is_streaming:
-            return list(self._waiting_ms)
-        return [t.waiting_ms() for t in self.tasks]
+        return list(self._waiting_ms)
 
     def total_vgpu_ms(self) -> float:
         """vGPU-milliseconds consumed inside the horizon (GPU efficiency)."""
         self._check_not_placeholder()
-        if self.is_streaming:
-            return self._vgpu_ms
-        return sum(
-            t.config.vgpus * charged_duration_ms(t, self.horizon_ms) for t in self.tasks
-        )
+        return self._vgpu_ms
 
     def total_vcpu_ms(self) -> float:
         """vCPU-milliseconds consumed inside the horizon."""
         self._check_not_placeholder()
-        if self.is_streaming:
-            return self._vcpu_ms
-        return sum(
-            t.config.vcpus * charged_duration_ms(t, self.horizon_ms) for t in self.tasks
-        )
+        return self._vcpu_ms
 
     def app_names(self) -> list[str]:
         """Applications observed in this run (sorted).
 
-        Apps are observed through *requests* in both modes: an accumulator
-        created only by task records (possible in synthetic feeds) is not an
-        observed application, matching the retained scan's semantics.
+        Apps are observed through *requests*: an accumulator created only by
+        task records (possible in synthetic feeds) is not an observed
+        application.
         """
         self._check_not_placeholder()
-        if self.is_streaming:
-            return sorted(app for app, acc in self._per_app.items() if acc.registered > 0)
-        return sorted({r.app_name for r in self.requests})
+        return sorted(app for app, acc in self._per_app.items() if acc.registered > 0)
 
     # ------------------------------------------------------------------
     # Summary
@@ -714,12 +569,9 @@ class MetricsCollector:
     def summary(self) -> RunSummary:
         """Condense the run into a :class:`RunSummary`.
 
-        The same code path serves both modes: every accessor above reads the
-        streaming accumulators or scans the retained objects, applying
-        identical float operations in an identical order — the foundation of
-        the byte-identical parity guarantee.  In streaming mode this is a
-        single pass over the compact buffers (one lexsort per scope) rather
-        than O(apps x n) re-scans of the request/task lists.
+        Counters and sums were folded at record time, so this is a single
+        pass over the compact buffers: one lexsort per scope for the
+        canonical latency order, and the waiting mean in task-record order.
         """
         self._check_not_placeholder()
         latencies = self.latencies_ms()

@@ -27,7 +27,7 @@ from repro.cluster.events import (
     SchedulerTickEvent,
     TaskCompletionEvent,
 )
-from repro.cluster.metrics import MetricsCollector, MetricsConfig, RunSummary
+from repro.cluster.metrics import MetricsCollector, RunSummary
 from repro.cluster.policy_api import SchedulingContext, SchedulingPolicy
 from repro.cluster.prewarm import PrewarmManager
 from repro.profiles.configuration import ConfigurationSpace
@@ -166,9 +166,6 @@ class SimulationConfig:
     max_time_ms: float = float("inf")
     #: Safety valve on the number of processed events.
     max_events: int = 5_000_000
-    #: How the run's metrics are stored: retained object lists (default) or
-    #: streaming per-app accumulators.  Summaries are byte-identical.
-    metrics: MetricsConfig = field(default_factory=MetricsConfig)
     #: Optional cluster-churn schedule (timed invoker join/leave/resize
     #: housekeeping events).  ``None`` keeps the paper's static testbed.
     churn: "ChurnSchedule | None" = None
@@ -187,9 +184,9 @@ class Simulation:
     arrival event pre-registered up front — the default, debuggable path)
     or a lazy :class:`~repro.workloads.stream.RequestStream`, which the
     simulation pulls *on demand*, one bounded chunk of arrivals at a time.
-    With a streaming metrics collector this bounds the whole run's
-    footprint — no request list, no upfront event flood — while remaining
-    byte-identical to the materialized run (arrivals outrank same-time
+    The metrics collector retains no request either, so this bounds the
+    whole run's footprint — no request list, no upfront event flood — while
+    remaining byte-identical to the materialized run (arrivals outrank same-time
     events via ``Event.sort_priority``, mirroring the upfront push order).
 
     Event dispatch is table-driven: :meth:`register_handler` maps an event
@@ -231,7 +228,6 @@ class Simulation:
         self.metrics = MetricsCollector(
             policy_name=policy.name,
             setting_name=setting_name,
-            config=self.config.metrics,
             horizon_ms=self.config.max_time_ms,
         )
         self.events = EventLoop()

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-from repro.cluster.metrics import MetricsCollector, MetricsConfig
+from repro.cluster.metrics import MetricsCollector
 from repro.cluster.policy_api import SchedulingPolicy
 from repro.experiments.runner import (
     ExperimentConfig,
@@ -147,26 +147,18 @@ def execute_spec(spec: RunSpec) -> RunResult:
 
     Module-level (not a method) so it is picklable as a process-pool task.
 
-    ``summary_only`` specs run with a *streaming* metrics collector — the
-    worker folds every observation into accumulators at record time instead
-    of materialising request/task lists it would only throw away — and a
-    *streaming* workload, so the request list is never materialised either:
-    the simulator pulls arrivals from a lazy
-    :class:`~repro.workloads.stream.RequestStream`.  Summaries are
-    byte-identical across both mode axes, so this is purely a memory
+    ``summary_only`` specs run with a *streaming* workload, so the request
+    list is never materialised: the simulator pulls arrivals from a lazy
+    :class:`~repro.workloads.stream.RequestStream`, and the metrics
+    collector folds every observation at record time.  Summaries are
+    byte-identical across workload modes, so this is purely a memory
     optimisation.  The result's ``metrics`` is an explicit placeholder
     (:meth:`MetricsCollector.placeholder_from_summary`) whose counters and
     ``truncated`` flag agree with the attached summary.
     """
     config = spec.config
-    if spec.summary_only:
-        upgrades: dict[str, object] = {}
-        if config.metrics.mode != "streaming":
-            upgrades["metrics"] = MetricsConfig(mode="streaming")
-        if config.workload_mode != "streaming":
-            upgrades["workload_mode"] = "streaming"
-        if upgrades:
-            config = config.with_overrides(**upgrades)
+    if spec.summary_only and config.workload_mode != "streaming":
+        config = config.with_overrides(workload_mode="streaming")
     store = _profile_store_for(config.space)
     result = run_experiment(
         spec.build_policy(),

@@ -23,7 +23,7 @@ from repro.cluster.autoscale import Autoscaler, AutoscaleSpec, resolve_autoscale
 from repro.cluster.churn import ChurnSchedule, ChurnSpec, resolve_churn
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.controller import ControllerConfig
-from repro.cluster.metrics import MetricsCollector, MetricsConfig, RunSummary
+from repro.cluster.metrics import MetricsCollector, RunSummary
 from repro.cluster.policy_api import SchedulingPolicy
 from repro.cluster.simulator import Simulation, SimulationConfig
 from repro.core.esg import ESGPolicy
@@ -91,17 +91,13 @@ class ExperimentConfig:
     #: flag): a scenario's pinned topology then never overrides it, even if
     #: the explicit value happens to equal the paper default.
     cluster_pinned: bool = False
-    #: Metrics storage mode: retained object lists (default, debuggable) or
-    #: streaming accumulators (constant-size state per app, for very large
-    #: runs).  Summaries are byte-identical across modes.
-    metrics: MetricsConfig = field(default_factory=MetricsConfig)
     #: Workload generation mode: ``"materialized"`` (default) builds the
     #: full request list up front; ``"streaming"`` hands the simulator a
     #: lazy :class:`~repro.workloads.stream.RequestStream` that it pulls
     #: in bounded chunks — ~16 bytes per request instead of a whole
-    #: object graph, with byte-identical summaries.  Combine with
-    #: ``metrics=MetricsConfig(mode="streaming")`` for bounded-memory
-    #: million-request runs end to end.
+    #: object graph, with byte-identical summaries.  The metrics collector
+    #: retains no request either, so a streaming run is bounded-memory end
+    #: to end.
     workload_mode: str = "materialized"
     #: Capacity churn: a registered :class:`~repro.cluster.churn.ChurnSpec`
     #: name, a spec (expanded with this config's seed at run time), or a
@@ -368,7 +364,6 @@ def run_experiment(
             controller=config.controller,
             noise_sigma=config.noise_sigma,
             max_time_ms=max_time_ms,
-            metrics=config.metrics,
             churn=churn_schedule,
         ),
         setting_name=setting.name,

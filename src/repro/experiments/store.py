@@ -4,8 +4,8 @@ Every run in this repository is a pure function of its
 :class:`~repro.experiments.engine.RunSpec`: the policy recipe, the demand
 side (setting or scenario), the seed and the platform configuration fully
 determine the :class:`~repro.cluster.metrics.RunSummary` (the tier-1
-recorded goldens and parity suites pin this across processes, index modes,
-metrics modes and workload modes).  Re-simulating an identical cell is therefore pure
+recorded goldens and parity suites pin this across processes, index modes
+and workload modes).  Re-simulating an identical cell is therefore pure
 waste — exactly the cell production experiment managers cache.
 
 A :class:`ResultStore` keys each run by a **stable content hash** of the
@@ -16,14 +16,16 @@ spec's code-relevant fields:
   application mix, stream label, pinned topology, churn recipe, horizon),
 * every :class:`~repro.experiments.runner.ExperimentConfig` knob that can
   change the simulated outcome — seed, request count, noise, configuration
-  space, cluster shape, controller, burstiness, horizon, churn, autoscale,
-  and the index/metrics/workload modes,
+  space, cluster shape (including its index mode), controller,
+  burstiness, horizon, churn and autoscale,
 * the store schema version (bumping it invalidates every older entry).
 
 Presentation-only fields are explicitly **excluded**: a spec's ``label``,
 its ``summary_only`` transport flag, and the human-readable ``description``
 of scenarios and topologies never reach the hash, so renaming a figure row
-or re-describing a scenario does not invalidate its cached cells.
+or re-describing a scenario does not invalidate its cached cells.  The
+``workload_mode`` is excluded too: it changes memory, never the summary, so
+a materialized and a streaming spelling of one cell share one entry.
 
 The hash is deterministic across processes and interpreter invocations:
 mappings are canonicalized with sorted keys and digested with ``blake2s``
@@ -78,7 +80,8 @@ __all__ = [
 #: change legitimately alters summaries without touching any spec field).
 #: v2: the key document gained the ``autoscale`` config field.
 #: v3: the key document dropped the event-loop mode field (one loop remains).
-STORE_SCHEMA_VERSION = 3
+#: v4: the key document dropped the metrics and workload mode fields.
+STORE_SCHEMA_VERSION = 4
 
 #: The payload kind the store holds today: a bare :class:`RunSummary`.
 SUMMARY_KIND = "summary"
@@ -210,8 +213,6 @@ def spec_key_doc(spec: "RunSpec") -> dict[str, object]:
             "controller": _canonical(config.controller),
             "burstiness": config.burstiness,
             "max_time_ms": config.max_time_ms,
-            "metrics_mode": config.metrics.mode,
-            "workload_mode": config.workload_mode,
             "churn": _canonical(churn),
             "autoscale": _canonical(autoscale),
         },

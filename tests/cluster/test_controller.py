@@ -117,13 +117,11 @@ class TestEndToEndMechanics:
             assert invoker.used_vcpus == 0
             assert invoker.used_vgpus == 0
 
-    def test_cost_positive_and_matches_tasks(self, store):
-        sim = build_simulation(FixedConfigPolicy(), make_requests(3), store)
-        summary = sim.run()
+    def test_cost_positive_and_matches_tasks(self, store, task_log):
+        with task_log() as tasks:
+            summary = build_simulation(FixedConfigPolicy(), make_requests(3), store).run()
         assert summary.total_cost_cents > 0
-        assert summary.total_cost_cents == pytest.approx(
-            sum(t.cost_cents for t in sim.metrics.tasks)
-        )
+        assert summary.total_cost_cents == pytest.approx(sum(t.cost_cents for t in tasks))
 
     def test_warm_cluster_has_no_cold_starts(self, store):
         sim = build_simulation(FixedConfigPolicy(), make_requests(3), store, initial_warm="all")
@@ -140,14 +138,14 @@ class TestEndToEndMechanics:
         # many cold starts as (function, node) pairs actually used.
         assert summary.cold_starts <= 3 * len(sim.cluster)
 
-    def test_batching_groups_jobs(self, store):
+    def test_batching_groups_jobs(self, store, task_log):
         # Ten requests arriving (almost) simultaneously with a batch-4 policy
         # must be grouped into fewer, larger tasks at the first stage.
         requests = make_requests(10, spacing_ms=0.1, slo_ms=20000.0)
         policy = FixedConfigPolicy(Configuration(4, 2, 2))
-        sim = build_simulation(policy, requests, store)
-        sim.run()
-        s1_tasks = [t for t in sim.metrics.tasks if t.stage_id == "s1"]
+        with task_log() as tasks:
+            build_simulation(policy, requests, store).run()
+        s1_tasks = [t for t in tasks if t.stage_id == "s1"]
         assert any(t.batch_size > 1 for t in s1_tasks)
         assert len(s1_tasks) < 10
 
@@ -273,7 +271,7 @@ class TestManyQueues:
         assert controller.metrics.forced_min_dispatches == 300
         assert total_completions == 300  # one completion event per forced dispatch
 
-    def test_recheck_storm_is_byte_identical_to_scan_mode(self, store):
+    def test_recheck_storm_is_byte_identical_to_scan_mode(self, store, task_log):
         class DeterministicFixedPolicy(FixedConfigPolicy):
             # Report a modeled overhead so the summary carries no wall-clock
             # noise (measured overhead differs even between two scan runs).
@@ -283,14 +281,14 @@ class TestManyQueues:
                 return decision
 
         def run(index_mode: str):
-            sim = build_simulation(
-                DeterministicFixedPolicy(Configuration(1, 8, 4)),
-                _many_app_requests(36),
-                store,
-                cluster=ClusterConfig(num_invokers=1, index_mode=index_mode),
-            )
-            summary = sim.run()
-            order = [(t.app_name, t.dispatch_ms, t.invoker_id) for t in sim.metrics.tasks]
+            with task_log() as tasks:
+                summary = build_simulation(
+                    DeterministicFixedPolicy(Configuration(1, 8, 4)),
+                    _many_app_requests(36),
+                    store,
+                    cluster=ClusterConfig(num_invokers=1, index_mode=index_mode),
+                ).run()
+            order = [(t.app_name, t.dispatch_ms, t.invoker_id) for t in tasks]
             return summary, order
 
         indexed_summary, indexed_order = run("indexed")

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from repro.cluster.metrics import (
     MetricsCollector,
-    MetricsConfig,
     charged_cost_cents,
     charged_duration_ms,
 )
@@ -98,6 +99,7 @@ class TestCostAndTasks:
 
     def test_latencies_sorted_by_completion(self):
         metrics = MetricsCollector()
+        # Fold in reverse completion order: the buffers must re-order.
         metrics.register_request(make_completed_request(0, 300.0))
         metrics.register_request(make_completed_request(1, 200.0))
         assert metrics.latencies_ms() == [200.0, 300.0]
@@ -153,36 +155,21 @@ class TestSummary:
         assert data["num_requests"] == 1
 
 
-STREAMING = MetricsConfig(mode="streaming")
-
-
-def streaming_collector(**kwargs) -> MetricsCollector:
-    return MetricsCollector(config=STREAMING, **kwargs)
-
-
-class TestMetricsConfig:
-    def test_default_mode_is_retained(self):
-        assert MetricsConfig().mode == "retained"
-        assert not MetricsCollector().is_streaming
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown metrics mode"):
-            MetricsConfig(mode="compressed")
-
-
-class TestStreamingMode:
+class TestRecordTimeFolds:
     def test_retains_no_objects(self):
-        metrics = streaming_collector()
+        metrics = MetricsCollector()
         request = make_completed_request(0, 400.0)
         metrics.register_request(request)
         metrics.record_task(make_task(request))
-        assert metrics.requests == []
-        assert metrics.tasks == []
-        with pytest.raises(RuntimeError, match="does not retain"):
-            metrics.completed_requests()
+        alive = weakref.ref(request)
+        del request
+        gc.collect()
+        # The task's jobs point at the request, so neither object survives.
+        assert alive() is None
+        assert metrics.num_completed() == 1
 
-    def test_register_folds_already_completed_requests(self):
-        metrics = streaming_collector()
+    def test_register_folds_requests_that_already_completed(self):
+        metrics = MetricsCollector()
         metrics.register_request(make_completed_request(0, 400.0))  # hit
         metrics.register_request(make_completed_request(1, 600.0))  # miss
         assert metrics.num_requests() == 2
@@ -192,7 +179,7 @@ class TestStreamingMode:
     def test_double_fold_is_rejected(self):
         """A request registered pre-completed must not also be notified via
         record_completion — that would corrupt rates (slo_hit_rate > 1)."""
-        metrics = streaming_collector()
+        metrics = MetricsCollector()
         request = make_completed_request(0, 400.0)
         metrics.register_request(request)  # folds immediately
         with pytest.raises(ValueError, match="recorded only once"):
@@ -200,7 +187,7 @@ class TestStreamingMode:
         assert metrics.slo_hit_rate() == 1.0
 
     def test_completion_of_unregistered_request_is_rejected(self):
-        metrics = streaming_collector()
+        metrics = MetricsCollector()
         with pytest.raises(ValueError, match="registered"):
             metrics.record_completion(make_completed_request(0, 400.0))
 
@@ -213,7 +200,7 @@ class TestStreamingMode:
             placeholder.record_overhead(1.0)
 
     def test_record_completion_requires_a_completed_request(self):
-        metrics = streaming_collector()
+        metrics = MetricsCollector()
         unfinished = Request(
             request_id=0, workflow=image_classification(), arrival_ms=0.0, slo_ms=500.0
         )
@@ -223,7 +210,7 @@ class TestStreamingMode:
         assert metrics.num_completed() == 0
 
     def test_incremental_completion_flow(self):
-        metrics = streaming_collector()
+        metrics = MetricsCollector()
         request = Request(
             request_id=7, workflow=image_classification(), arrival_ms=10.0, slo_ms=500.0
         )
@@ -236,17 +223,9 @@ class TestStreamingMode:
         metrics.record_completion(request)
         assert metrics.num_completed() == 1
         assert metrics.latencies_ms() == [t - 10.0]
-        assert metrics.latency_running_stats().count == 1
-
-    def test_latencies_in_canonical_completion_order(self):
-        metrics = streaming_collector()
-        # Fold in reverse completion order: the buffers must re-order.
-        metrics.register_request(make_completed_request(0, 300.0))
-        metrics.register_request(make_completed_request(1, 200.0))
-        assert metrics.latencies_ms() == [200.0, 300.0]
 
     def test_per_app_accumulators(self):
-        metrics = streaming_collector()
+        metrics = MetricsCollector()
         metrics.register_request(make_completed_request(0, 400.0))
         metrics.register_request(make_completed_request(1, 900.0, app=depth_recognition()))
         assert metrics.app_names() == ["depth_recognition", "image_classification"]
@@ -255,14 +234,14 @@ class TestStreamingMode:
         assert metrics.latencies_ms("depth_recognition") == [900.0]
 
     def test_overhead_buffer_is_compact_but_summarizable(self):
-        metrics = streaming_collector()
+        metrics = MetricsCollector()
         metrics.record_overhead(5.0)
         metrics.record_overhead(15.0)
         assert list(metrics.overhead_ms_samples) == [5.0, 15.0]
         assert metrics.overhead_summary().mean == pytest.approx(10.0)
 
     def test_unknown_app_queries_are_empty(self):
-        metrics = streaming_collector()
+        metrics = MetricsCollector()
         assert metrics.slo_hit_rate("nope") == 0.0
         assert metrics.latencies_ms("nope") == []
         assert metrics.total_cost_cents("nope") == 0.0
@@ -281,25 +260,22 @@ class TestHorizonClamp:
         # dispatch 10, exec 100 -> holds [10, 110).
         return make_task(request, cost=2.0, vgpus=2)
 
-    @pytest.mark.parametrize("config", [MetricsConfig(), STREAMING])
-    def test_straddling_task_charged_pro_rata(self, config):
-        metrics = MetricsCollector(config=config, horizon_ms=60.0)
+    def test_straddling_task_charged_pro_rata(self):
+        metrics = MetricsCollector(horizon_ms=60.0)
         metrics.record_task(self.straddling_task())
         # 50 of the 100 held ms fall inside the horizon.
         assert metrics.total_vgpu_ms() == pytest.approx(2 * 50.0)
         assert metrics.total_vcpu_ms() == pytest.approx(1 * 50.0)
         assert metrics.total_cost_cents() == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("config", [MetricsConfig(), STREAMING])
-    def test_task_inside_horizon_fully_charged(self, config):
-        metrics = MetricsCollector(config=config, horizon_ms=500.0)
+    def test_task_inside_horizon_fully_charged(self):
+        metrics = MetricsCollector(horizon_ms=500.0)
         metrics.record_task(self.straddling_task())
         assert metrics.total_vgpu_ms() == pytest.approx(2 * 100.0)
         assert metrics.total_cost_cents() == pytest.approx(2.0)
 
-    @pytest.mark.parametrize("config", [MetricsConfig(), STREAMING])
-    def test_task_entirely_past_horizon_charged_nothing(self, config):
-        metrics = MetricsCollector(config=config, horizon_ms=5.0)
+    def test_task_entirely_past_horizon_charged_nothing(self):
+        metrics = MetricsCollector(horizon_ms=5.0)
         metrics.record_task(self.straddling_task())
         assert metrics.total_vgpu_ms() == 0.0
         assert metrics.total_cost_cents() == 0.0
@@ -351,16 +327,11 @@ class TestPlaceholder:
         ):
             with pytest.raises(RuntimeError, match="summary_only placeholder"):
                 query()
-        # Direct reads of the observation containers fail just as loudly.
-        for container in (
-            placeholder.requests,
-            placeholder.tasks,
-            placeholder.overhead_ms_samples,
-        ):
-            with pytest.raises(RuntimeError, match="summary_only placeholder"):
-                len(container)
-            with pytest.raises(RuntimeError, match="summary_only placeholder"):
-                list(container)
+        # Direct reads of the sample buffer fail just as loudly.
+        with pytest.raises(RuntimeError, match="summary_only placeholder"):
+            len(placeholder.overhead_ms_samples)
+        with pytest.raises(RuntimeError, match="summary_only placeholder"):
+            list(placeholder.overhead_ms_samples)
         # Carried counters stay directly readable.
         assert placeholder.plan_miss_rate() == summary.plan_miss_rate
 
@@ -368,27 +339,34 @@ class TestPlaceholder:
 class TestRecordOrderFuzz:
     """Randomized record-order fuzz on the per-app accumulators.
 
-    Feeds the same observations to a retained and a streaming collector with
-    completions folded in a random order (and deliberate completed_ms ties),
-    then requires byte-identical summaries.
+    Feeds a collector observations with completions folded in a random
+    order (with continuous arrivals, and with arrivals snapped to a grid so
+    that completed_ms ties occur), then requires a summary equal
+    to a brute-force reference computed from the fed objects: latencies
+    sorted by ``(completed_ms, request_id)``, plain sums of the charged
+    costs and durations, and waiting means in task-record order.
     """
 
     APPS = (image_classification, depth_recognition)
 
-    def build_observations(self, rng: random.Random, n: int):
+    def build_observations(self, rng: random.Random, n: int, arrival_grid_ms: float):
         requests, tasks = [], []
         for i in range(n):
             workflow = self.APPS[rng.randrange(len(self.APPS))]()
+            arrival_ms = rng.uniform(0.0, 50.0)
+            if arrival_grid_ms:
+                # Snapped arrivals plus the coarse stage grid below make
+                # completed_ms ties across requests frequent.
+                arrival_ms = arrival_grid_ms * round(arrival_ms / arrival_grid_ms)
             request = Request(
                 request_id=i,
                 workflow=workflow,
-                arrival_ms=rng.uniform(0.0, 50.0),
+                arrival_ms=arrival_ms,
                 slo_ms=rng.choice([200.0, 500.0]),
             )
             if rng.random() < 0.85:  # some requests never finish
                 t = request.arrival_ms
                 for sid in workflow.topological_order():
-                    # Coarse grid => frequent completed_ms ties across requests.
                     t += rng.choice([50.0, 100.0, 150.0])
                     request.record_stage_completion(sid, t, invoker_id=0)
             requests.append(request)
@@ -398,33 +376,31 @@ class TestRecordOrderFuzz:
                 tasks.append(task)
         return requests, tasks
 
+    @pytest.mark.parametrize("arrival_grid_ms", [0.0, 25.0])
     @pytest.mark.parametrize("seed", range(5))
-    def test_fuzzed_interleavings_stay_byte_identical(self, seed):
+    def test_fuzzed_interleavings_match_the_reference(
+        self, seed, arrival_grid_ms, reference_summary, reference_latencies
+    ):
         rng = random.Random(seed)
-        requests, tasks = self.build_observations(rng, n=60)
+        requests, tasks = self.build_observations(rng, n=60, arrival_grid_ms=arrival_grid_ms)
         horizon = rng.choice([float("inf"), 120.0])
+        overheads = [0.5, 1.5, 2.5]
 
-        retained = MetricsCollector(policy_name="p", setting_name="s", horizon_ms=horizon)
-        streaming = streaming_collector(
-            policy_name="p", setting_name="s", horizon_ms=horizon
-        )
-
-        # Identical registration and task-record order for both collectors...
-        for request in requests:
-            retained.register_request(request)
-        for task in tasks:
-            retained.record_task(task)
+        metrics = MetricsCollector(policy_name="p", setting_name="s", horizon_ms=horizon)
         completed = [r for r in requests if r.is_complete]
-        rng.shuffle(completed)  # ...but a scrambled completion-event order.
-        incomplete = [r for r in requests if not r.is_complete]
-        for request in incomplete:
-            streaming.register_request(request)
-        for request in completed:
-            streaming.register_request(request)
+        rng.shuffle(completed)  # A scrambled completion-event order.
+        for request in [r for r in requests if not r.is_complete] + completed:
+            metrics.register_request(request)
         for task in tasks:
-            streaming.record_task(task)
-        for sample in (0.5, 1.5, 2.5):
-            retained.record_overhead(sample)
-            streaming.record_overhead(sample)
+            metrics.record_task(task)
+        for sample in overheads:
+            metrics.record_overhead(sample)
 
-        assert retained.summary() == streaming.summary()
+        assert completed and len(completed) < len(requests)
+        if arrival_grid_ms:
+            assert len({r.completed_ms for r in completed}) < len(completed)  # ties occur
+        assert metrics.summary() == reference_summary(
+            requests, tasks, overheads, horizon, policy="p", setting="s"
+        )
+        for app in (None, *metrics.app_names()):
+            assert metrics.latencies_ms(app) == reference_latencies(requests, app)

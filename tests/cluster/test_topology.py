@@ -110,6 +110,13 @@ class TestScenarioTopology:
         assert clone.topology == scenario.topology
 
 
+def max_invoker(result) -> int:
+    """Highest invoker id any stage of any request completed on."""
+    return max(
+        invoker for request in result.requests for invoker in request.stage_invoker.values()
+    )
+
+
 class TestRunnerAppliesScenarioTopology:
     @pytest.fixture(scope="class")
     def store(self):
@@ -125,7 +132,7 @@ class TestRunnerAppliesScenarioTopology:
         default = run_experiment(
             "ESG", "moderate-normal", config=ExperimentConfig(num_requests=6), profile_store=store
         )
-        assert max(t.invoker_id for t in default.metrics.tasks) > 1
+        assert max_invoker(default) > 1
 
         scenario = Scenario(
             name="t-mini-cluster",
@@ -140,7 +147,7 @@ class TestRunnerAppliesScenarioTopology:
             profile_store=store,
             scenario=scenario,
         )
-        assert max(t.invoker_id for t in result.metrics.tasks) <= 1
+        assert max_invoker(result) <= 1
 
     def test_explicit_cluster_config_beats_scenario_topology(self, store):
         from repro.experiments.runner import ExperimentConfig, run_experiment
@@ -162,7 +169,7 @@ class TestRunnerAppliesScenarioTopology:
         )
         # The explicit (non-default) cluster config wins over the scenario's
         # pinned topology, so placement spreads past the 2-node mini cluster.
-        assert max(t.invoker_id for t in result.metrics.tasks) > 1
+        assert max_invoker(result) > 1
 
     def test_scenario_topology_applies_in_scan_mode_too(self, store):
         # index_mode is orthogonal to the cluster *shape*: a scan-mode
@@ -190,7 +197,7 @@ class TestRunnerAppliesScenarioTopology:
             profile_store=store,
             scenario=scenario,
         )
-        assert max(t.invoker_id for t in scan.metrics.tasks) <= 1
+        assert max_invoker(scan) <= 1
         assert indexed.summary == scan.summary
 
     def test_orthogonal_keep_alive_override_composes_with_scenario_topology(self, store):
@@ -213,7 +220,7 @@ class TestRunnerAppliesScenarioTopology:
             profile_store=store,
             scenario=scenario,
         )
-        assert max(t.invoker_id for t in result.metrics.tasks) <= 1
+        assert max_invoker(result) <= 1
 
     def test_cluster_pinned_flag_beats_scenario_topology_even_at_the_default(self, store):
         from repro.experiments.runner import ExperimentConfig, run_experiment
@@ -235,4 +242,4 @@ class TestRunnerAppliesScenarioTopology:
             profile_store=store,
             scenario=scenario,
         )
-        assert max(t.invoker_id for t in result.metrics.tasks) > 1
+        assert max_invoker(result) > 1

@@ -14,8 +14,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import repro
 from repro.cluster.autoscale import AutoscaleSpec, get_autoscale_spec
 from repro.experiments.engine import RunSpec
@@ -43,7 +41,7 @@ class TestAutoscaleSpecKey:
         # without a version bump (or vice versa) fails here.
         config_fields = sorted(spec_key_doc(_spec())["config"])
         assert (STORE_SCHEMA_VERSION, config_fields) == (
-            3,
+            4,
             [
                 "autoscale",
                 "burstiness",
@@ -52,12 +50,10 @@ class TestAutoscaleSpecKey:
                 "cluster_pinned",
                 "controller",
                 "max_time_ms",
-                "metrics_mode",
                 "noise_sigma",
                 "num_requests",
                 "seed",
                 "space",
-                "workload_mode",
             ],
         )
 

@@ -270,6 +270,31 @@ class TestEngineWithStore:
         assert len(results) == len(specs)
         assert flags == [True, True, True]
 
+    def test_workload_mode_spellings_share_one_cell(self, tmp_path, monkeypatch):
+        """A materialized- and a streaming-spelled ``summary_only`` spec of one
+        cell key alike, so the second is served without running."""
+        store = ResultStore(tmp_path / "store")
+        materialized = _spec(summary_only=True)
+        streaming = _spec(
+            config=SMALL.with_overrides(workload_mode="streaming"), summary_only=True
+        )
+        assert materialized.config.workload_mode == "materialized"
+        assert store.key_for(materialized) == store.key_for(streaming)
+        (first,) = ExperimentEngine(1, store=store).run([materialized])
+
+        import repro.experiments.engine as engine_mod
+
+        def boom(item):
+            raise AssertionError(f"second spelling executed {item[0]}")
+
+        monkeypatch.setattr(engine_mod, "_execute_spec_stored", boom)
+        flags = []
+        (second,) = ExperimentEngine(1, store=store).run(
+            [streaming], on_cell=lambda i, s, r, cached: flags.append(cached)
+        )
+        assert flags == [True]
+        assert second.summary == first.summary
+
     def test_full_result_spec_runs_live_but_warms_the_cache(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         full = _spec(summary_only=False)

@@ -7,8 +7,9 @@ file changes only through ``regenerate.py``, with a CHANGES.md entry that
 says why the outcome moved; this test never writes it.
 
 Mode axes whose summaries are byte-identical by contract (streaming
-workload and metrics, the linear-scan cluster index, spawned engine
-workers) are asserted against the same recorded cells.
+workload, the linear-scan cluster index, spawned and forked engine
+workers, ``summary_only`` transport) are asserted against the same
+recorded cells.
 """
 
 from __future__ import annotations
@@ -25,14 +26,12 @@ from golden_matrix import (
 )
 
 from repro.cluster.cluster import ClusterConfig
-from repro.cluster.metrics import MetricsConfig
 from repro.experiments.engine import ExperimentEngine, RunSpec
 from repro.experiments.runner import build_profile_store, run_experiment
 
 CELLS = {cell.cell_id: cell for cell in golden_cells()}
 
-STREAMING = {"workload_mode": "streaming", "metrics": MetricsConfig(mode="streaming")}
-STREAMING_METRICS = {"metrics": MetricsConfig(mode="streaming")}
+STREAMING = {"workload_mode": "streaming"}
 SCAN = {"cluster": ClusterConfig(index_mode="scan")}
 
 #: (cell, mode overrides) pairs that must reproduce the recorded cell.
@@ -41,7 +40,6 @@ MODE_VARIANTS = [
         (f"ESG/{scenario}/seed42/n16", "streaming", STREAMING)
         for scenario in PAPER_SCENARIOS
     ),
-    ("ESG/paper-relaxed-heavy/seed42/n16", "streaming-metrics", STREAMING_METRICS),
     ("ESG/paper-moderate-normal/seed42/n16", "scan", SCAN),
     ("INFless/paper-moderate-normal/seed42/n16", "scan", SCAN),
     ("ESG/paper-moderate-normal/seed42/n16/horizon400ms", "streaming", STREAMING),
@@ -117,4 +115,25 @@ def test_spawned_workers_reproduce_goldens(goldens):
     ]
     results = ExperimentEngine(n_jobs=2, mp_context="spawn").run(specs)
     for cell_id, result in zip(cell_ids, results):
+        assert_matches_golden(goldens, cell_id, result.summary)
+
+
+def test_summary_only_engine_workers_reproduce_goldens(goldens):
+    """``summary_only`` specs in forked workers (streaming workload, summary
+    transport, placeholder collector) report the recorded summaries,
+    truncated cell included."""
+    cell_ids = [f"ESG/{scenario}/seed42/n16" for scenario in PAPER_SCENARIOS]
+    cell_ids.append("ESG/paper-moderate-normal/seed42/n16/horizon400ms")
+    specs = [
+        RunSpec(
+            policy="ESG",
+            scenario=CELLS[cell_id].scenario,
+            config=CELLS[cell_id].config(),
+            summary_only=True,
+        )
+        for cell_id in cell_ids
+    ]
+    results = ExperimentEngine(n_jobs=2).run(specs)
+    for cell_id, result in zip(cell_ids, results):
+        assert result.metrics.placeholder
         assert_matches_golden(goldens, cell_id, result.summary)

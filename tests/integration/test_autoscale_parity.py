@@ -1,14 +1,14 @@
 """Acceptance parity: autoscaled runs are byte-identical across every mode axis.
 
 The feedback loop observes live queues and injects prewarm events mid-run —
-new machinery the index/metrics/workload refactors never exercised.  These
+new machinery the index and workload refactors never exercised.  These
 tests extend the parity matrices to adaptive runs: for identical
 ``(scenario, autoscale spec, seed)`` the RunSummary must be byte-identical
 across
 
 * ``index_mode`` indexed vs. scan (resident counts and placement walk the
   same state either way),
-* metrics retained vs. streaming, workload materialized vs. streaming,
+* workload materialized vs. streaming,
 * engine ``n_jobs`` 1 vs. 4 and the spawn multiprocessing context.
 
 ``TestAutoscaleActuallyBites`` guards against vacuous parity: on the study
@@ -25,7 +25,6 @@ import pytest
 
 from repro.cluster.autoscale import Autoscaler, get_autoscale_spec
 from repro.cluster.cluster import ClusterConfig
-from repro.cluster.metrics import MetricsConfig
 from repro.experiments.engine import ExperimentEngine, RunSpec
 from repro.experiments.runner import (
     ExperimentConfig,
@@ -94,33 +93,13 @@ class TestAutoscaleIndexModeParity:
         assert_byte_identical(optimized, reference)
 
 
-class TestAutoscaleMetricsAndWorkloadParity:
-    @pytest.mark.parametrize("spec_name", AUTOSCALE_SPECS)
-    def test_streaming_metrics_byte_identical(self, store, spec_name):
-        retained = run_experiment(
-            "ESG",
-            config=BASE.with_overrides(autoscale=spec_name),
-            profile_store=store,
-            scenario="diurnal-normal",
-        )
-        streaming = run_experiment(
-            "ESG",
-            config=BASE.with_overrides(
-                autoscale=spec_name, metrics=MetricsConfig(mode="streaming")
-            ),
-            profile_store=store,
-            scenario="diurnal-normal",
-        )
-        assert_byte_identical(retained, streaming)
-        assert streaming.metrics.is_streaming
-
+class TestAutoscaleWorkloadParity:
     def test_fully_streaming_matches_materialized(self, store):
         streamed = run_experiment(
             "ESG",
             config=BASE.with_overrides(
                 autoscale="threshold-default",
                 workload_mode="streaming",
-                metrics=MetricsConfig(mode="streaming"),
             ),
             profile_store=store,
             scenario="diurnal-normal",

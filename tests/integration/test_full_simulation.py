@@ -23,8 +23,9 @@ CONFIG = ExperimentConfig(num_requests=30, seed=17)
 
 
 @pytest.fixture(scope="module")
-def results():
-    """One scaled-down run per policy under the moderate-normal setting."""
+def runs(task_log):
+    """One scaled-down run per policy under the moderate-normal setting,
+    with the tasks it completed."""
     store = build_profile_store(CONFIG.space)
     out = {}
     for name in DEFAULT_POLICIES:
@@ -34,10 +35,22 @@ def results():
         )
         policy = make_policy(name, **overrides)
         requests = build_requests("moderate-normal", CONFIG.num_requests, CONFIG.seed, store)
-        out[name] = run_experiment(
-            policy, "moderate-normal", config=CONFIG, profile_store=store, requests=requests
-        )
+        with task_log() as tasks:
+            result = run_experiment(
+                policy, "moderate-normal", config=CONFIG, profile_store=store, requests=requests
+            )
+        out[name] = (result, tasks)
     return out
+
+
+@pytest.fixture(scope="module")
+def results(runs):
+    return {name: result for name, (result, _) in runs.items()}
+
+
+@pytest.fixture(scope="module")
+def tasks(runs):
+    return {name: logged for name, (_, logged) in runs.items()}
 
 
 class TestEveryPolicyCompletesTheWorkload:
@@ -48,13 +61,13 @@ class TestEveryPolicyCompletesTheWorkload:
         assert summary.num_completed == CONFIG.num_requests
 
     @pytest.mark.parametrize("name", DEFAULT_POLICIES)
-    def test_every_stage_of_every_request_ran_exactly_once(self, results, name):
+    def test_every_stage_of_every_request_ran_exactly_once(self, results, tasks, name):
         result = results[name]
         for request in result.requests:
             assert set(request.stage_completion_ms) == set(request.workflow.stage_ids())
         # Tasks carry each (request, stage) exactly once.
         seen: set[tuple[int, str]] = set()
-        for task in result.metrics.tasks:
+        for task in tasks[name]:
             for job in task.jobs:
                 key = (job.request.request_id, job.stage_id)
                 assert key not in seen, f"{key} scheduled twice by {name}"
@@ -79,15 +92,20 @@ class TestEveryPolicyCompletesTheWorkload:
         assert per_app == pytest.approx(result.summary.total_cost_cents)
 
     @pytest.mark.parametrize("name", DEFAULT_POLICIES)
-    def test_latencies_at_least_sum_of_execution_times(self, results, name):
-        result = results[name]
-        exec_by_request: dict[int, float] = {}
-        for task in result.metrics.tasks:
+    def test_latencies_at_least_sum_of_execution_times(self, results, tasks, name):
+        exec_ms: dict[tuple[int, str], float] = {}
+        for task in tasks[name]:
             for job in task.jobs:
-                exec_by_request.setdefault(job.request.request_id, 0.0)
-                exec_by_request[job.request.request_id] += 0.0  # placeholder for readability
-        for request in result.requests:
+                exec_ms[(job.request.request_id, job.stage_id)] = task.exec_ms
+        for request in results[name].requests:
+            # Longest predecessor chain of execution times through the DAG.
+            topo = request.workflow.topology()
+            chain: dict[str, float] = {}
+            for stage_id in request.workflow.topological_order():
+                before = max((chain[p] for p in topo.pred[stage_id]), default=0.0)
+                chain[stage_id] = before + exec_ms[(request.request_id, stage_id)]
             assert request.latency_ms > 0
+            assert request.latency_ms >= max(chain[s] for s in topo.sinks)
 
     def test_warm_experiment_cluster_has_no_cold_starts(self, results):
         for name, result in results.items():

@@ -34,14 +34,17 @@ class TestReproducibility:
 
 
 class TestAblationBehaviour:
-    def test_disabling_batching_never_creates_batches(self):
-        result = run_esg(7, batching=False)
-        assert all(t.batch_size == 1 for t in result.metrics.tasks)
+    def test_disabling_batching_never_creates_batches(self, task_log):
+        with task_log() as tasks:
+            run_esg(7, batching=False)
+        assert tasks
+        assert all(t.batch_size == 1 for t in tasks)
 
-    def test_disabling_gpu_sharing_uses_whole_gpus(self):
-        result = run_esg(7, gpu_sharing=False)
-        full_gpu = result.metrics.tasks[0].config  # sanity anchor
-        assert all(t.config.vgpus == 7 for t in result.metrics.tasks)
+    def test_disabling_gpu_sharing_uses_whole_gpus(self, task_log):
+        with task_log() as tasks:
+            run_esg(7, gpu_sharing=False)
+        full_gpu = tasks[0].config  # sanity anchor
+        assert all(t.config.vgpus == 7 for t in tasks)
         assert full_gpu.vgpus == 7
 
     def test_gpu_sharing_reduces_vgpu_time(self):
